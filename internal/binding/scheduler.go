@@ -29,6 +29,6 @@ func (s clockScheduler) NewEvent() core.Event { return s.c.NewEvent() }
 func (s clockScheduler) Now() time.Duration   { return s.c.Now() }
 
 // After rides the clock's callback-timer heap: no actor spawn, no
-// channel rendezvous, deterministic interleave with traffic. fn must not
+// coroutine switch, deterministic interleave with traffic. fn must not
 // block (Controller methods never do).
 func (s clockScheduler) After(d time.Duration, fn func()) { s.c.RunAfter(d, fn) }

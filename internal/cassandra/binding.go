@@ -82,9 +82,11 @@ func (b *Binding) clock() netsim.Clock { return b.client.cluster.tr.Clock() }
 func (b *Binding) get(op binding.Get, levels core.Levels, cb binding.Callback) {
 	wantWeak := levels.Contains(core.LevelWeak)
 	wantStrong := levels.Contains(core.LevelStrong)
+	// v.Value is already the view's private copy (see Client.read), so it
+	// is handed over as is.
 	emit := func(v ReadView, level core.Level) {
 		cb(binding.Result{
-			Value:   append([]byte(nil), v.Value...),
+			Value:   v.Value,
 			Level:   level,
 			Version: v.Version.Token(),
 		})

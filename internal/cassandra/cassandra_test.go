@@ -482,6 +482,38 @@ func TestBindingVanillaICGFallback(t *testing.T) {
 	}
 }
 
+// TestBindingReadViewsArePrivate: every view a read delivers owns its
+// bytes. Scribbling over one leaves the other view and every replica's
+// stored version untouched, on the ICG path (one request, two views), the
+// vanilla fallback (two requests) and the single-level reads.
+func TestBindingReadViewsArePrivate(t *testing.T) {
+	for _, correctable := range []bool{true, false} {
+		cluster, _, _ := newTestCluster(t, correctable, true)
+		cluster.Preload("k", []byte("data"))
+		kv := NewKV(NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{}))
+		for _, cor := range []*core.Correctable[[]byte]{
+			kv.Get(context.Background(), "k"),
+			kv.GetWeak(context.Background(), "k"),
+			kv.GetStrong(context.Background(), "k"),
+		} {
+			if _, err := cor.Final(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range cor.Views() {
+				if string(v.Value) != "data" {
+					t.Fatalf("correctable=%v: view %v = %q before mutation, want data (views alias)", correctable, v.Level, v.Value)
+				}
+				copy(v.Value, "XXXX")
+			}
+		}
+		for _, r := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {
+			if got := cluster.Replica(r).Get("k").Value; string(got) != "data" {
+				t.Errorf("correctable=%v: replica %v stores %q after views were mutated, want data", correctable, r, got)
+			}
+		}
+	}
+}
+
 func TestConcurrentClientsNoRace(t *testing.T) {
 	// Wall clock on purpose:true parallelism exercises the locking that the
 	// cooperative virtual scheduler would serialize away.

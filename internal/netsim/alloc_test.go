@@ -8,17 +8,15 @@ import (
 )
 
 // TestAllocGateRunAfterSteadyState is the scheduler's allocation-regression
-// gate (run by CI without -race): once the timer heap and the vactor
-// freelist are warm, arming a callback timer allocates nothing, and a full
-// arm-dispatch-sleep cycle — callback fires, root actor parks and wakes —
-// allocates nothing either. This is what lets million-message runs hold a
+// gate (run by CI without -race): once the timer heap is warm, arming a
+// callback timer allocates nothing, and a full arm-dispatch-sleep cycle —
+// callback fires, root actor parks and wakes — allocates nothing either. This is what lets million-message runs hold a
 // flat heap profile.
 func TestAllocGateRunAfterSteadyState(t *testing.T) {
 	c := NewVirtualClock()
 	fn := func() {}
 
-	// Warm: grow the timer heap past anything AllocsPerRun will push, and
-	// seed the vactor freelist.
+	// Warm: grow the timer heap past anything AllocsPerRun will push.
 	for i := 0; i < 4096; i++ {
 		c.RunAfter(time.Millisecond, fn)
 	}
@@ -41,7 +39,8 @@ func TestAllocGateRunAfterSteadyState(t *testing.T) {
 }
 
 // TestAllocGateQueueHandoff: a warm ready-queue handoff (Put to a waiting
-// actor, token round trip) must not allocate on the scheduler's side. The
+// actor, a round trip through the dispatcher) must not allocate on the
+// scheduler's side. The
 // single allocation budgeted here is the interface boxing of the queue
 // item itself, which belongs to the caller's payload, not the scheduler —
 // struct{}{} boxes for free.
@@ -57,7 +56,7 @@ func TestAllocGateQueueHandoff(t *testing.T) {
 		}
 	})
 	tok := struct{}{}
-	// Warm both waiter paths and the freelist.
+	// Warm both waiter paths and the ready set.
 	for i := 0; i < 64; i++ {
 		ping.Put(tok)
 		pong.Get()
@@ -69,5 +68,47 @@ func TestAllocGateQueueHandoff(t *testing.T) {
 		t.Errorf("queue handoff allocs/op = %v, want 0", got)
 	}
 	ping.Put(nil)
+	c.Drain()
+}
+
+// TestAllocGateSpawnExit: once the worker pool holds an idle worker, a Go
+// plus the actor's exit allocates nothing — the actor runs on the pooled
+// coroutine and hands it back when it returns.
+func TestAllocGateSpawnExit(t *testing.T) {
+	c := NewVirtualClock()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		c.Go(fn)
+	}
+	c.Drain()
+	if got := testing.AllocsPerRun(2000, func() {
+		c.Go(fn)
+		c.Drain()
+	}); got != 0 {
+		t.Errorf("Go+exit allocs/op = %v, want 0", got)
+	}
+}
+
+// TestAllocGateSleepHandoff: two actors sleeping in lockstep hand the
+// dispatcher back and forth through the timer heap without allocating.
+func TestAllocGateSleepHandoff(t *testing.T) {
+	c := NewVirtualClock()
+	stop := false
+	tick := func() {
+		for !stop {
+			c.Sleep(time.Millisecond)
+		}
+	}
+	c.Go(tick)
+	c.Go(tick)
+	for i := 0; i < 64; i++ {
+		c.Sleep(time.Millisecond)
+	}
+	if got := testing.AllocsPerRun(2000, func() {
+		c.Sleep(time.Millisecond)
+	}); got != 0 {
+		t.Errorf("Sleep handoff allocs/op = %v, want 0", got)
+	}
+	stop = true
 	c.Drain()
 }

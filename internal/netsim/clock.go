@@ -20,7 +20,10 @@ import (
 // goroutine that created the clock is the root actor; further actors must
 // be spawned with Go (never the bare go statement) and may only block
 // through the clock: Sleep/SleepUntil, or the Event/Queue/Group
-// primitives. A goroutine that must block on something foreign (an
+// primitives. Under a VirtualClock, spawned actors are coroutines on
+// pooled workers, resumed one at a time by a dispatch loop that runs on
+// the root goroutine while the root is parked, and callbacks run inline
+// on the root. A goroutine that must block on something foreign (an
 // unconverted channel, an external process) has to bracket the wait with
 // BlockOn, at the price of determinism for that wait.
 //
@@ -29,13 +32,12 @@ import (
 // stack to park. Fire-and-forget work that just runs at a deadline
 // (asynchronous replication applying a mutation, a commit delivery, a
 // block-mining tick) should use RunAt/RunAfter instead: under a
-// VirtualClock a callback costs no goroutine spawn and no channel
-// rendezvous, which is what makes million-actor runs affordable. Callbacks
-// MUST NOT block — under a VirtualClock a blocking call from a callback
-// panics (fail fast); a callback that needs to block spawns an actor with
-// Go. Under a WallClock callbacks run on their own goroutines
-// (time.AfterFunc), so the rule is not enforced there — write callbacks to
-// the virtual discipline.
+// VirtualClock a callback costs no actor and no coroutine switch, which is
+// what makes million-actor runs affordable. Callbacks MUST NOT block —
+// under a VirtualClock a blocking call from a callback panics (fail fast);
+// a callback that needs to block spawns an actor with Go. Under a
+// WallClock callbacks run on their own goroutines (time.AfterFunc), so the
+// rule is not enforced there — write callbacks to the virtual discipline.
 type Clock interface {
 	// Now returns the current model time.
 	Now() time.Duration

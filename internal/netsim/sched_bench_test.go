@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// BenchmarkSchedulerHandoff measures one full token round trip between two
-// actors (Put wakes the peer, Get parks the caller — two handoffs per
-// iteration). This is the unit cost every blocking operation in the
-// simulation pays.
+// BenchmarkSchedulerHandoff measures one full round trip between the root
+// and an actor (Put wakes the peer, Get parks the caller — two handoffs,
+// i.e. two coroutine switches, per iteration). This is the unit cost every
+// blocking operation in the simulation pays.
 func BenchmarkSchedulerHandoff(b *testing.B) {
 	c := NewVirtualClock()
 	ping, pong := c.NewQueue(), c.NewQueue()
@@ -34,10 +34,10 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 
 // BenchmarkAsyncSend compares the two ways to deliver a fire-and-forget
 // simulated message: the callback-timer path Transport.Send now uses
-// (zero goroutines, zero channel rendezvous) against the goroutine-per-
-// message shape it replaced (spawn an actor, sleep the delay, run the
-// delivery). Both sub-benchmarks drain in batches so the timer heap stays
-// warm and bounded, and both report measured goroutine spawns per message.
+// (no actor, no coroutine switch) against the actor-per-message shape it
+// replaced (spawn an actor, sleep the delay, run the delivery). Both
+// sub-benchmarks drain in batches so the timer heap stays warm and
+// bounded, and both report measured actor spawns per message.
 func BenchmarkAsyncSend(b *testing.B) {
 	const batch = 1024
 	run := func(b *testing.B, wantSpawnsPerOp uint64, send func(c *VirtualClock, tr *Transport, fn func())) {
@@ -61,7 +61,7 @@ func BenchmarkAsyncSend(b *testing.B) {
 		}
 		spawns := c.Spawned() - spawnedBefore
 		if spawns != wantSpawnsPerOp*uint64(b.N) {
-			b.Fatalf("spawned %d goroutines over %d messages, want %d/op", spawns, b.N, wantSpawnsPerOp)
+			b.Fatalf("spawned %d actors over %d messages, want %d/op", spawns, b.N, wantSpawnsPerOp)
 		}
 		b.ReportMetric(float64(spawns)/float64(b.N), "spawns/op")
 	}
@@ -72,8 +72,8 @@ func BenchmarkAsyncSend(b *testing.B) {
 		})
 	})
 	b.Run("goroutine-baseline", func(b *testing.B) {
-		// The PR 1 shape of Transport.Send: one actor spawn plus two channel
-		// rendezvous per message.
+		// The original shape of Transport.Send: one actor per message,
+		// which sleeps the delay and then delivers.
 		run(b, 1, func(c *VirtualClock, tr *Transport, fn func()) {
 			tr.Meter().Account(LinkReplica, 64)
 			d := tr.sample(IRL, FRK)

@@ -2,26 +2,31 @@ package netsim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"time"
 )
 
-// VirtualClock is a deterministic discrete-event scheduler. Actors run one
-// at a time under a cooperative token: exactly one actor executes at any
-// moment, and every blocking operation (Sleep, Event.Wait, Queue.Get,
-// Group.Wait) hands the token to the next runnable actor. When no actor is
+// VirtualClock is a deterministic discrete-event scheduler. Exactly one
+// piece of simulation code executes at any moment. The goroutine that
+// calls NewVirtualClock is the root actor; every other actor is a
+// coroutine, resumed by a dispatch loop that runs on the root goroutine
+// whenever the root parks. A blocking operation (Sleep, Event.Wait,
+// Queue.Get, Group.Wait, Drain) parks its caller: an actor yields back to
+// the dispatcher, and the root enters the dispatcher itself. The
+// dispatcher resumes runnable actors in FIFO order; when none is
 // runnable, model time jumps straight to the earliest pending deadline —
-// no host sleeping, ever. Because the token handoff order is a pure
-// function of the program (spawn order, deadlines, FIFO wakeups), two runs
-// of the same seeded workload execute the exact same event sequence and
-// produce byte-identical metrics.
+// no host sleeping, ever. Because the dispatch order is a pure function of
+// the program (spawn order, deadlines, FIFO wakeups), two runs of the same
+// seeded workload execute the exact same event sequence and produce
+// byte-identical metrics.
 //
 // Besides actors, the clock schedules callback timers (RunAt/RunAfter):
-// a callback is executed inline by whichever goroutine is dispatching when
-// its deadline is reached — no goroutine spawn, no channel rendezvous.
-// Callbacks interleave with actor wakeups in the same (deadline, spawn
-// sequence) order, so converting fire-and-forget actors to callbacks does
-// not perturb determinism. The price is a discipline: a callback must not
+// the dispatcher executes a callback inline on the root goroutine when its
+// deadline is reached — no actor, no coroutine switch. Callbacks
+// interleave with actor wakeups in the same (deadline, arming sequence)
+// order, so converting fire-and-forget actors to callbacks does not
+// perturb determinism. The price is a discipline: a callback must not
 // block. A call to Sleep, Event.Wait, Queue.Get, Group.Wait, BlockOn, or
 // Drain from inside a callback panics if it would actually park (fail
 // fast, like the deadlock check); calls that are satisfied immediately —
@@ -36,89 +41,82 @@ import (
 // Discipline (see the Clock interface comment): spawn actors with Go, block
 // only through the clock, and use BlockOn around any foreign blocking. An
 // actor that blocks on a bare channel without BlockOn freezes the whole
-// simulation, since the token is never handed on.
+// simulation, since it never yields back to the dispatcher.
 //
-// Internally the scheduler is built for million-actor runs: the ready set
-// is a head-indexed compacting deque (no reslice churn, memory bounded
-// by the live depth), parked actors are recycled
-// through a freelist that reuses their rendezvous channels (token handoff
-// is a buffered send, not a channel close), and timers live in a concrete
-// 4-ary heap of value entries (no container/heap boxing).
+// Deadlock and callback-must-not-block panics are raised on the root
+// goroutine, and so is an actor's panic (with its original value): all of
+// them can be recovered by the root's caller.
 //
-// The goroutine that calls NewVirtualClock is the root actor and initially
-// holds the token.
+// Internally the scheduler is built for million-actor runs. Actors run on
+// workers: iter.Pull coroutines kept in a bounded process-wide pool, so a
+// spawn reuses a goroutine whose stack has already grown, and a handoff is
+// a direct coroutine switch rather than a scheduler wakeup. An actor is
+// bound to a worker only once it first runs. The ready set is a
+// head-indexed compacting deque (no reslice churn, memory bounded by the
+// live depth), each actor parks through a single reused slot, and timers
+// live in a concrete 4-ary heap of value entries (no container/heap
+// boxing).
 type VirtualClock struct {
 	mu       sync.Mutex
 	now      time.Duration
 	seq      uint64
 	timers   timerHeap
-	ready    fifo[*vactor] // runnable actors, FIFO
-	blocked  int           // actors parked on events/queues/groups
-	detached int           // actors inside BlockOn
-	idler    *vactor       // Drain caller, woken only at quiescence
-	// tokenFree marks the token as unheld: set when the running actor had
-	// nothing to hand it to but detached actors may still rejoin.
-	tokenFree bool
-	// inCallback is true while the dispatching goroutine runs a callback
-	// timer; blocking operations fail fast when they see it (only the
-	// callback itself can observe the flag — every other actor is parked
-	// while the token holder dispatches).
+	ready    fifo[runnable]
+	blocked  int     // actors parked on events/queues/groups
+	detached int     // actors inside BlockOn
+	idler    *vactor // Drain caller, woken only at quiescence
+	// inCallback is true while the dispatcher runs a callback timer;
+	// blocking operations fail fast when they see it (only the callback
+	// itself can observe the flag — no actor runs during a callback).
 	inCallback bool
-	// freelist recycles vactors (and their token channels) across parks.
-	freelist []*vactor
-	// spawned counts Go calls, i.e. real goroutine spawns. Benchmarks use
-	// it to prove the callback path costs zero goroutines per message.
+	// root is the root actor's parking slot.
+	root vactor
+	// cur is the worker whose actor is running; nil while the root or a
+	// callback runs.
+	cur *worker
+	// rejoin wakes a dispatcher that waits at quiescence for a BlockOn
+	// caller to come back.
+	rejoin chan struct{}
+	// spawned counts Go calls, i.e. actors started. Benchmarks use it to
+	// prove the callback path starts zero actors per message.
 	spawned uint64
 }
 
 var _ Clock = (*VirtualClock)(nil)
 
-// vactor is one parked actor: a rendezvous channel for the token handoff,
-// a spawn sequence for deterministic tie-breaks, and the handed-off value
-// (queues). The channel is buffered (capacity 1) and reused across parks:
-// waking an actor is a single non-blocking send.
+// vactor is an actor's parking slot: what the timer heap, waiter lists and
+// the ready set point at while the actor is parked. An actor parks in at
+// most one place at a time, so each actor owns exactly one slot: the root's
+// lives in the clock, every worker embeds its own.
 type vactor struct {
-	seq uint64
-	ch  chan struct{}
-	val any
+	w   *worker // nil for the root
+	val any     // the item a Queue.Put handed to this waiter
+}
+
+// runnable is one ready-set entry: a parked actor to resume (p set) or the
+// body of a spawned actor that has not started yet (body set).
+type runnable struct {
+	p    *vactor
+	body func()
 }
 
 // NewVirtualClock returns a virtual clock at model time zero. The calling
-// goroutine becomes the root actor and holds the execution token.
+// goroutine becomes the root actor.
 func NewVirtualClock() *VirtualClock {
 	return &VirtualClock{}
 }
 
-// newActorLocked takes a vactor off the freelist (or allocates one) and
-// stamps it with the next spawn sequence. Callers hold c.mu.
-func (c *VirtualClock) newActorLocked() *vactor {
-	var p *vactor
-	if n := len(c.freelist); n > 0 {
-		p = c.freelist[n-1]
-		c.freelist[n-1] = nil
-		c.freelist = c.freelist[:n-1]
-	} else {
-		p = &vactor{ch: make(chan struct{}, 1)}
-	}
-	p.seq = c.seq
+// selfLocked returns the caller's parking slot and consumes one arming
+// sequence number (every park does, so same-instant timers keep the order
+// in which they were armed). Callers hold c.mu.
+func (c *VirtualClock) selfLocked() (*vactor, uint64) {
+	seq := c.seq
 	c.seq++
-	return p
+	if c.cur != nil {
+		return &c.cur.vactor, seq
+	}
+	return &c.root, seq
 }
-
-// recycle returns a vactor whose wait has completed to the freelist. The
-// caller must have received the token through p.ch already (so the channel
-// is empty again) and be done with p.val.
-func (c *VirtualClock) recycle(p *vactor) {
-	p.val = nil
-	c.mu.Lock()
-	c.freelist = append(c.freelist, p)
-	c.mu.Unlock()
-}
-
-// wake hands the execution token to a parked actor. The channel holds at
-// most the one token in the system, so the buffered send never blocks and
-// is safe under c.mu.
-func (p *vactor) wake() { p.ch <- struct{}{} }
 
 // checkCanBlockLocked fails fast when a callback timer attempts a blocking
 // operation. Callers hold c.mu; on failure the lock is released before
@@ -131,65 +129,96 @@ func (c *VirtualClock) checkCanBlockLocked(op string) {
 	}
 }
 
-// dispatchLocked hands the token to the next runnable work item: ready
-// actors first (FIFO), then the earliest timer (advancing model time),
-// then — only at full quiescence — the Drain idler. Callback timers are
-// executed inline on the dispatching goroutine (dropping the lock for the
-// duration of the callback) and dispatch continues afterwards. If parked
-// actors remain with nothing left that could ever wake them, that is a
-// deadlock and the simulation fails fast instead of hanging.
+// parkLocked suspends the caller, whose slot p is already registered where
+// it will be woken from (timer heap, waiter list, idler, BlockOn rejoin).
+// An actor yields back to the dispatcher; the root runs the dispatcher
+// until its own slot comes up. Enters with c.mu held, returns with it
+// released once the caller is runnable again.
+func (c *VirtualClock) parkLocked(p *vactor) {
+	if w := p.w; w != nil {
+		c.mu.Unlock()
+		w.yield(false)
+		return
+	}
+	c.dispatchLocked()
+	c.mu.Unlock()
+}
+
+// dispatchLocked is the root's park loop. It runs the next work item until
+// the root itself is runnable again: ready actors first (FIFO), then the
+// earliest timer (advancing model time), then — only at full quiescence —
+// the Drain idler. Callback timers run inline, without the lock; actors
+// are resumed on their workers and run until they park or exit. While
+// BlockOn callers are out, quiescence means waiting for one to rejoin. If
+// parked actors remain with nothing left that could ever wake them, that
+// is a deadlock and the simulation fails fast instead of hanging.
 //
-// Enters and returns with c.mu held, but may release it transiently while
-// running callbacks.
+// Enters and returns with c.mu held, but releases it while callbacks and
+// actors run.
 func (c *VirtualClock) dispatchLocked() {
 	for {
-		if c.ready.len() > 0 {
-			c.ready.pop().wake()
-			return
-		}
-		if c.timers.len() > 0 {
+		var r runnable
+		switch {
+		case c.ready.len() > 0:
+			r = c.ready.pop()
+		case c.timers.len() > 0:
 			e := c.timers.pop()
 			if e.at > c.now {
 				c.now = e.at
 			}
-			if e.fn == nil {
-				e.p.wake()
-				return
+			if e.fn != nil {
+				// Callback timer: run inline, then keep dispatching (the
+				// callback may have readied actors or armed further timers).
+				c.inCallback = true
+				c.mu.Unlock()
+				e.fn()
+				c.mu.Lock()
+				c.inCallback = false
+				continue
 			}
-			// Callback timer: run inline, without the lock, on this
-			// goroutine — zero spawns, zero rendezvous — then keep
-			// dispatching (the callback may have readied actors or armed
-			// further timers).
-			c.inCallback = true
+			r.p = e.p
+		case c.detached > 0:
 			c.mu.Unlock()
-			e.fn()
+			<-c.rejoin
 			c.mu.Lock()
-			c.inCallback = false
 			continue
-		}
-		if c.detached > 0 {
-			// A BlockOn actor may rejoin with work; leave the token floating.
-			c.tokenFree = true
-			return
-		}
-		if c.idler != nil {
-			p := c.idler
-			c.idler = nil
-			p.wake()
-			return
-		}
-		if c.blocked > 0 {
-			// Parked actors can now only be woken by other actors — and none
-			// remain, whether the yielder parked itself or exited. Any
+		case c.idler != nil:
+			r.p, c.idler = c.idler, nil
+		default:
+			// The root is parked, so it is counted in blocked: parked actors
+			// can now only be woken by other actors, and none remain. Any
 			// pending callback timers have already run above without
 			// unblocking anyone. Fail fast instead of hanging silently.
+			n := c.blocked
+			c.mu.Unlock()
 			panic(fmt.Sprintf(
-				"netsim: virtual clock deadlock: %d actor(s) blocked with no runnable actors and no pending timers",
-				c.blocked))
+				"netsim: virtual clock deadlock: %d actor(s) blocked with no runnable actors and no pending timers", n))
 		}
-		c.tokenFree = true
-		return
+		if r.p == &c.root {
+			return
+		}
+		c.resumeLocked(r)
 	}
+}
+
+// resumeLocked runs one actor until it parks or exits: a new actor takes a
+// worker from the pool, a parked one continues on its own. An exited
+// actor's worker goes back to the pool. Enters and returns with c.mu held.
+func (c *VirtualClock) resumeLocked(r runnable) {
+	var w *worker
+	if r.body != nil {
+		w = getWorker()
+		w.body = r.body
+	} else {
+		w = r.p.w
+	}
+	c.cur = w
+	c.mu.Unlock()
+	if exited, _ := w.resume(); exited {
+		putWorker(w)
+	}
+	c.mu.Lock()
+	c.cur = nil
 }
 
 // Now implements Clock.
@@ -214,27 +243,24 @@ func (c *VirtualClock) SleepUntil(t time.Duration) {
 	c.sleepUntilLocked(t)
 }
 
-// sleepUntilLocked parks the caller on the timer heap and hands the token
-// on. Enters with c.mu held, returns with it released.
+// sleepUntilLocked parks the caller on the timer heap. Enters with c.mu
+// held, returns with it released.
 func (c *VirtualClock) sleepUntilLocked(t time.Duration) {
 	if t <= c.now {
 		c.mu.Unlock()
 		return
 	}
 	c.checkCanBlockLocked("Sleep")
-	p := c.newActorLocked()
-	c.timers.push(timerEntry{at: t, seq: p.seq, p: p})
-	c.dispatchLocked()
-	c.mu.Unlock()
-	<-p.ch
-	c.recycle(p)
+	p, seq := c.selfLocked()
+	c.timers.push(timerEntry{at: t, seq: seq, p: p})
+	c.parkLocked(p)
 }
 
 // RunAt implements Clock: fn runs as a callback timer at model instant t
-// (or the current instant, if t is in the past). The callback executes
-// inline on whichever goroutine dispatches that instant — no goroutine is
-// spawned — deterministically interleaved with actor wakeups by
-// (deadline, arming sequence). fn must not block; see the type comment.
+// (or the current instant, if t is in the past). The dispatcher executes
+// it inline on the root goroutine — no actor is started — deterministically
+// interleaved with actor wakeups by (deadline, arming sequence). fn must
+// not block; see the type comment.
 func (c *VirtualClock) RunAt(t time.Duration, fn func()) {
 	c.mu.Lock()
 	if t < c.now {
@@ -257,59 +283,54 @@ func (c *VirtualClock) RunAfter(d time.Duration, fn func()) {
 }
 
 // Go implements Clock: fn becomes a new actor, enqueued runnable behind the
-// current ready set. It starts executing when the token reaches it.
+// current ready set. It starts executing, on a pooled worker, when the
+// dispatcher reaches it.
 func (c *VirtualClock) Go(fn func()) {
 	c.mu.Lock()
-	p := c.newActorLocked()
-	c.ready.push(p)
+	c.ready.push(runnable{body: fn})
+	c.seq++
 	c.spawned++
 	c.mu.Unlock()
-	go func() {
-		<-p.ch
-		c.recycle(p)
-		fn()
-		// The actor exits: hand the token on without re-parking.
-		c.mu.Lock()
-		c.dispatchLocked()
-		c.mu.Unlock()
-	}()
 }
 
-// Spawned returns the number of goroutines the clock has started via Go.
-// Scheduler benchmarks use the delta across a workload to verify that the
-// callback-timer path spawns none.
+// Spawned returns the number of actors the clock has started via Go (not
+// goroutines: actors run on pooled workers). Scheduler benchmarks use the
+// delta across a workload to verify that the callback-timer path starts
+// none.
 func (c *VirtualClock) Spawned() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.spawned
 }
 
-// BlockOn implements Clock: the actor leaves the scheduler while wait runs
-// (so the simulation continues, advancing time if needed) and rejoins
-// afterwards. The rejoin order depends on the host scheduler, so a BlockOn
+// BlockOn implements Clock: wait runs on a helper goroutine while the
+// caller is parked outside the scheduler, so the simulation continues
+// (advancing time if needed). When wait returns, the caller rejoins the
+// ready set. The rejoin order depends on the host scheduler, so a BlockOn
 // wait is the one place where determinism is forfeited — keep it out of
 // measured paths.
 func (c *VirtualClock) BlockOn(wait func()) {
 	c.mu.Lock()
 	c.checkCanBlockLocked("BlockOn")
+	p, _ := c.selfLocked()
 	c.detached++
-	c.dispatchLocked()
-	c.mu.Unlock()
-
-	wait()
-
-	c.mu.Lock()
-	c.detached--
-	if c.tokenFree {
-		c.tokenFree = false
-		c.mu.Unlock()
-		return
+	if c.rejoin == nil {
+		c.rejoin = make(chan struct{}, 1)
 	}
-	p := c.newActorLocked()
-	c.ready.push(p)
-	c.mu.Unlock()
-	<-p.ch
-	c.recycle(p)
+	go func() {
+		wait()
+		c.mu.Lock()
+		c.detached--
+		c.ready.push(runnable{p: p})
+		c.mu.Unlock()
+		// Wake a dispatcher waiting at quiescence; if a wakeup is already
+		// pending, that one will see this rejoin too.
+		select {
+		case c.rejoin <- struct{}{}:
+		default:
+		}
+	}()
+	c.parkLocked(p)
 }
 
 // Drain runs the simulation until quiescence: every remaining actor has
@@ -318,7 +339,7 @@ func (c *VirtualClock) BlockOn(wait func()) {
 // Model time advances as far as the pending work requires. Call it from
 // the root actor at the end of an experiment so background traffic
 // (asynchronous replication, commit broadcasts, read repair) runs to
-// completion instead of leaking parked goroutines.
+// completion instead of leaving actors parked.
 func (c *VirtualClock) Drain() {
 	c.mu.Lock()
 	if c.ready.len() == 0 && c.timers.len() == 0 && c.detached == 0 {
@@ -330,12 +351,9 @@ func (c *VirtualClock) Drain() {
 		c.mu.Unlock()
 		panic("netsim: concurrent Drain on the same VirtualClock")
 	}
-	p := c.newActorLocked()
+	p, _ := c.selfLocked()
 	c.idler = p
-	c.dispatchLocked()
-	c.mu.Unlock()
-	<-p.ch
-	c.recycle(p)
+	c.parkLocked(p)
 }
 
 // NewEvent implements Clock.
@@ -352,10 +370,17 @@ func (c *VirtualClock) StartStopwatch() Stopwatch {
 	return Stopwatch{clock: c, start: c.Now()}
 }
 
+// waitLocked parks the caller on an event, queue or group; p is already on
+// its waiter list. Enters with c.mu held, returns with it released.
+func (c *VirtualClock) waitLocked(p *vactor) {
+	c.blocked++
+	c.parkLocked(p)
+}
+
 // wakeOneLocked moves one parked actor to the ready queue.
 func (c *VirtualClock) wakeOneLocked(p *vactor) {
 	c.blocked--
-	c.ready.push(p)
+	c.ready.push(runnable{p: p})
 }
 
 // wakeAllLocked moves parked actors to the ready queue (FIFO order
@@ -363,18 +388,77 @@ func (c *VirtualClock) wakeOneLocked(p *vactor) {
 func (c *VirtualClock) wakeAllLocked(ps []*vactor) {
 	c.blocked -= len(ps)
 	for _, p := range ps {
-		c.ready.push(p)
+		c.ready.push(runnable{p: p})
 	}
 }
 
-// parkLocked parks the calling actor outside the timer heap and hands the
-// token on. Enters with c.mu held, returns with it released, after the
-// token has come back. The caller recycles p once done with p.val.
-func (c *VirtualClock) parkLocked(p *vactor) {
-	c.blocked++
-	c.dispatchLocked()
-	c.mu.Unlock()
-	<-p.ch
+// maxIdleWorkers bounds the process-wide pool of idle workers. Idle stacks
+// count toward the GC pacer's heap goal, so a larger pool raises peak heap;
+// a smaller one keeps re-creating coroutines (about ten allocations each)
+// under spawn-heavy load. 1024 keeps both flat on the benchmark workloads.
+const maxIdleWorkers = 1024
+
+// workerPool holds idle workers for every VirtualClock in the process. An
+// idle worker references no clock.
+var workerPool struct {
+	sync.Mutex
+	idle []*worker
+}
+
+// worker is one pooled coroutine. It runs actor bodies back to back: each
+// resume either starts the body in w.body or continues the parked actor,
+// and returns when that actor parks (yield(false)) or exits (yield(true)).
+type worker struct {
+	vactor
+	body   func()
+	resume func() (exited bool, ok bool)
+	stop   func()
+	yield  func(exited bool) bool
+}
+
+// getWorker takes an idle worker from the pool, or starts a new coroutine.
+func getWorker() *worker {
+	workerPool.Lock()
+	if n := len(workerPool.idle); n > 0 {
+		w := workerPool.idle[n-1]
+		workerPool.idle[n-1] = nil
+		workerPool.idle = workerPool.idle[:n-1]
+		workerPool.Unlock()
+		return w
+	}
+	workerPool.Unlock()
+	w := &worker{}
+	w.w = w
+	w.resume, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// putWorker returns an idle worker to the pool, or ends its goroutine when
+// the pool is full.
+func putWorker(w *worker) {
+	workerPool.Lock()
+	if len(workerPool.idle) < maxIdleWorkers {
+		workerPool.idle = append(workerPool.idle, w)
+		workerPool.Unlock()
+		return
+	}
+	workerPool.Unlock()
+	w.stop()
+}
+
+// loop is the worker's coroutine body. It clears w.body before running it
+// so that an idle worker keeps nothing of the last actor (or its clock)
+// alive.
+func (w *worker) loop(yield func(bool) bool) {
+	w.yield = yield
+	for {
+		body := w.body
+		w.body = nil
+		body()
+		if !yield(true) {
+			return
+		}
+	}
 }
 
 // vEvent is the virtual one-shot broadcast.
@@ -401,10 +485,9 @@ func (e *vEvent) Wait() {
 		return
 	}
 	e.c.checkCanBlockLocked("Event.Wait")
-	p := e.c.newActorLocked()
+	p, _ := e.c.selfLocked()
 	e.waiters = append(e.waiters, p)
-	e.c.parkLocked(p)
-	e.c.recycle(p)
+	e.c.waitLocked(p)
 }
 
 // fifo is a head-indexed growable FIFO used for the queue item buffer and
@@ -472,11 +555,11 @@ func (q *vQueue) Get() any {
 		return v
 	}
 	q.c.checkCanBlockLocked("Queue.Get")
-	p := q.c.newActorLocked()
+	p, _ := q.c.selfLocked()
 	q.waiters.push(p)
-	q.c.parkLocked(p)
+	q.c.waitLocked(p)
 	v := p.val
-	q.c.recycle(p)
+	p.val = nil
 	return v
 }
 
@@ -518,10 +601,9 @@ func (g *vGroup) Wait() {
 		return
 	}
 	g.c.checkCanBlockLocked("Group.Wait")
-	p := g.c.newActorLocked()
+	p, _ := g.c.selfLocked()
 	g.waiters = append(g.waiters, p)
-	g.c.parkLocked(p)
-	g.c.recycle(p)
+	g.c.waitLocked(p)
 }
 
 // timerEntry is one pending deadline: either a parked actor to wake (p set)

@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -411,4 +413,120 @@ func TestVirtualQueueBacklogMemoryBounded(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		q.Get()
 	}
+}
+
+// TestVirtualBlockOnFromActor: a spawned actor may detach through BlockOn
+// while the root drains; the dispatcher keeps running the rest of the
+// simulation, waits for the rejoin at quiescence, and resumes the actor
+// inside the scheduler afterwards.
+func TestVirtualBlockOnFromActor(t *testing.T) {
+	c := NewVirtualClock()
+	ch := make(chan int, 1)
+	got, rejoinedAt := 0, time.Duration(-1)
+	c.Go(func() {
+		c.BlockOn(func() { got = <-ch })
+		rejoinedAt = c.Now()
+		c.Sleep(time.Millisecond) // back under the clock: parks normally
+	})
+	c.Go(func() {
+		c.Sleep(time.Second)
+		ch <- 42
+	})
+	c.Drain()
+	if got != 42 {
+		t.Errorf("got %d, want 42", got)
+	}
+	if rejoinedAt != time.Second {
+		t.Errorf("actor rejoined at %v, want 1s", rejoinedAt)
+	}
+	if now := c.Now(); now != time.Second+time.Millisecond {
+		t.Errorf("Now after drain = %v, want 1.001s", now)
+	}
+}
+
+// TestVirtualActorPanicReachesRoot: a panic inside an actor surfaces on the
+// root goroutine with its original value, where the caller can recover it.
+func TestVirtualActorPanicReachesRoot(t *testing.T) {
+	type boom struct{ n int }
+	defer func() {
+		if r := recover(); r != (boom{7}) {
+			t.Fatalf("recovered %v, want boom{7}", r)
+		}
+	}()
+	c := NewVirtualClock()
+	c.Go(func() {
+		c.Sleep(time.Millisecond)
+		panic(boom{7})
+	})
+	c.Drain()
+	t.Fatal("Drain returned; the actor's panic was lost")
+}
+
+// TestVirtualWorkersReleased: actors run on pooled workers, so many
+// drained worlds of short-lived actors leave at most the idle pool behind,
+// and a drained clock is not pinned by any worker. The worlds run from
+// four goroutines at once, sharing the process-wide pool. Each root's
+// first world parks all its actors at once, more than the pool holds, so
+// surplus workers must be stopped; the rest spawn in waves that the pool
+// absorbs (under -race every stopped coroutine leaks a few KB of detector
+// state, so the test keeps that churn small).
+func TestVirtualWorkersReleased(t *testing.T) {
+	const roots, worlds, actors = 4, 200, 2000
+	base := runtime.NumGoroutine()
+	collected := make([]chan struct{}, roots)
+	var wg sync.WaitGroup
+	for r := range collected {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for w := 0; w < worlds/roots; w++ {
+				wave := 40
+				if w == 0 {
+					wave = actors
+				}
+				collected[r] = runWorld(t, actors, wave)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := runtime.NumGoroutine(); n > base+maxIdleWorkers {
+		t.Errorf("goroutines after %d worlds = %d, want <= %d (baseline %d + pool bound %d)",
+			worlds, n, base+maxIdleWorkers, base, maxIdleWorkers)
+	}
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected[0]:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("drained clock was never collected")
+		}
+	}
+}
+
+// runWorld drains one world of n short-lived actors, spawned wave at a time
+// one model millisecond apart, and returns a channel closed once its clock
+// has been garbage collected.
+func runWorld(t *testing.T, n, wave int) chan struct{} {
+	c := NewVirtualClock()
+	ran := 0
+	for i := 0; i < n; i++ {
+		if i > 0 && i%wave == 0 {
+			c.Sleep(time.Millisecond)
+		}
+		d := time.Duration(i%5) * time.Millisecond
+		c.Go(func() {
+			c.Sleep(d)
+			ran++
+		})
+	}
+	c.Drain()
+	if ran != n {
+		t.Errorf("ran = %d actors, want %d", ran, n)
+	}
+	collected := make(chan struct{})
+	runtime.AddCleanup(c, func(ch chan struct{}) { close(ch) }, collected)
+	return collected
 }
