@@ -31,21 +31,28 @@
 //	icgbench -exp hunt -hunt-plant                 # self-test: find the planted bug
 //	icgbench -exp hunt -repro hunt-repros/x.json   # replay an archived repro
 //
-// Checked experiments (faultstudy, failover, overload, hunt) exit 3 when a
-// consistency violation is found; the seed replays it byte-identically.
+// Every experiment goes through one path: it returns a bench.Report whose
+// table is printed, whose result -json writes as the experiment's JSON
+// artifact, and whose tracer -trace writes as Chrome trace-event JSON
+// (faultstudy, failover and overload record one; -trace on any other
+// experiment exits 2). Checked experiments (faultstudy with -check,
+// failover, overload, capacity, hunt) exit 3 when a consistency violation
+// is found; the seed replays it byte-identically.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"correctables/internal/bench"
 	"correctables/internal/faults"
-	"correctables/internal/trace"
 )
 
 // experiment is one icgbench entry: the single registry below generates
@@ -57,34 +64,48 @@ type experiment struct {
 	// paper experiments run under -exp all (the figures, in order); the
 	// extras are opt-in by name.
 	paper bool
-	run   func(bench.Config) string
+	// traced experiments record a trace when Config.Trace is set; -trace
+	// is refused for the others.
+	traced bool
+	run    func(bench.Config) (bench.Report, error)
 }
 
 var experiments = []experiment{
-	{"fig5", "single-request latency per level (Cassandra binding)", true, func(c bench.Config) string { return bench.FormatFig5(bench.Fig5(c)) }},
-	{"fig6", "YCSB latency vs throughput", true, func(c bench.Config) string { return bench.FormatFig6(bench.Fig6(c)) }},
-	{"fig7", "preliminary-vs-final divergence", true, func(c bench.Config) string { return bench.FormatFig7(bench.Fig7(c)) }},
-	{"fig8", "bandwidth overhead of incremental views", true, func(c bench.Config) string { return bench.FormatFig8(bench.Fig8(c)) }},
-	{"fig9", "ZooKeeper latency gaps per level", true, func(c bench.Config) string { return bench.FormatFig9(bench.Fig9(c)) }},
-	{"fig10", "dequeue bandwidth (Correctable ZK queue)", true, func(c bench.Config) string { return bench.FormatFig10(bench.Fig10(c)) }},
-	{"fig11", "speculation case studies", true, func(c bench.Config) string { return bench.FormatFig11(bench.Fig11(c)) }},
-	{"fig12", "ticket selling end-to-end", true, func(c bench.Config) string { return bench.FormatFig12(bench.Fig12(c)) }},
-	{"ablations", "replication-lag and flush-cost ablations", false, func(c bench.Config) string {
-		return bench.FormatAblationLag(bench.AblationReplicationLag(c)) +
-			bench.FormatAblationFlush(bench.AblationFlushCost(c))
-	}},
-	{"faultstudy", "YCSB under a deterministic fault schedule (-faults, -check)", false, runFaultStudy},
-	{"failover", "leader partition mid-run: recovery time and availability window", false, runFailover},
-	{"overload", "open-loop burst: metastable retry storm vs admission control", false, runOverload},
-	{"sweep", "read latency vs quorum size and RTT geography", false, runSweep},
-	{"capacity", "sharded-plane capacity study: 10^6 open-loop sessions vs shard count", false, runCapacity},
-	{"hunt", "nemesis hunt: seeds x composed fault tracks, all checkers, shrinking repros", false, runHunt},
+	{"fig5", "single-request latency per level (Cassandra binding)", true, false, table(bench.Fig5, bench.FormatFig5)},
+	{"fig6", "YCSB latency vs throughput", true, false, table(bench.Fig6, bench.FormatFig6)},
+	{"fig7", "preliminary-vs-final divergence", true, false, table(bench.Fig7, bench.FormatFig7)},
+	{"fig8", "bandwidth overhead of incremental views", true, false, table(bench.Fig8, bench.FormatFig8)},
+	{"fig9", "ZooKeeper latency gaps per level", true, false, table(bench.Fig9, bench.FormatFig9)},
+	{"fig10", "dequeue bandwidth (Correctable ZK queue)", true, false, table(bench.Fig10, bench.FormatFig10)},
+	{"fig11", "speculation case studies", true, false, table(bench.Fig11, bench.FormatFig11)},
+	{"fig12", "ticket selling end-to-end", true, false, table(bench.Fig12, bench.FormatFig12)},
+	{"ablations", "replication-lag and flush-cost ablations", false, false, table(bench.Ablations, bench.FormatAblations)},
+	{"faultstudy", "YCSB under a deterministic fault schedule (-faults, -check)", false, true,
+		func(c bench.Config) (bench.Report, error) { return bench.FaultStudy(c) }},
+	{"failover", "leader partition mid-run: recovery time and availability window", false, true,
+		func(c bench.Config) (bench.Report, error) {
+			c.Check = true // the failover always verifies its history
+			return bench.Failover(c)
+		}},
+	{"overload", "open-loop burst: metastable retry storm vs admission control", false, true,
+		func(c bench.Config) (bench.Report, error) { return bench.Overload(c) }},
+	{"sweep", "read latency vs quorum size and RTT geography", false, false,
+		func(c bench.Config) (bench.Report, error) { return bench.Sweep(c), nil }},
+	{"capacity", "sharded-plane capacity study: 10^6 open-loop sessions vs shard count", false, false,
+		func(c bench.Config) (bench.Report, error) { return bench.Capacity(c), nil }},
+	{"hunt", "nemesis hunt: seeds x composed fault tracks, all checkers, shrinking repros", false, false,
+		func(c bench.Config) (bench.Report, error) { return bench.Hunt(c, huntOptions()) }},
 }
 
-func expNames(paperOnly bool) []string {
+// table registers a figure whose result carries no checks and no tracer.
+func table[T any](run func(bench.Config) T, render func(T) string) func(bench.Config) (bench.Report, error) {
+	return func(c bench.Config) (bench.Report, error) { return bench.NewTable(run(c), render), nil }
+}
+
+func expNames(keep func(experiment) bool) []string {
 	var out []string
 	for _, e := range experiments {
-		if !paperOnly || e.paper {
+		if keep(e) {
 			out = append(out, e.name)
 		}
 	}
@@ -100,260 +121,150 @@ func expByName(name string) (experiment, bool) {
 	return experiment{}, false
 }
 
-// Flags consulted by individual experiment entries.
+// Registry filters for expNames.
+func everyExp(experiment) bool    { return true }
+func paperExp(e experiment) bool  { return e.paper }
+func tracedExp(e experiment) bool { return e.traced }
+
+// Hunt flags, read by the hunt entry.
 var (
-	faultJSON    string
-	traceOut     string
-	huntSeeds    int
-	huntStart    int64
+	huntOpts     bench.HuntOptions
 	huntProfiles string
-	huntWorkers  int
-	huntPlant    bool
 	reproDir     string
 )
 
-// writeArtifact exits on a failed artifact write (JSON report or trace).
-func writeArtifact(path string, err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: writing %s: %v\n", path, err)
-		os.Exit(1)
-	}
-}
-
-// writeTrace writes the -trace Chrome trace-event artifact for a traced
-// experiment (Perfetto-loadable; byte-identical across same-seed runs).
-func writeTrace(trc *trace.Tracer, reg *trace.Registry) {
-	if traceOut == "" {
-		return
-	}
-	writeArtifact(traceOut, bench.WriteTrace(traceOut, trc, reg))
-}
-
-// failCheck prints the experiment output, reports the violation count on
-// stderr, and exits with the consistency-gate status.
-func failCheck(out string, violations int, seed int64) {
-	fmt.Print(out)
-	fmt.Fprintf(os.Stderr, "icgbench: consistency check FAILED with %d violations (seed %d replays them byte-identically)\n",
-		violations, seed)
-	os.Exit(3)
-}
-
-func runFaultStudy(c bench.Config) string {
-	res, err := bench.FaultStudy(c)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	writeTrace(res.Trace, res.TraceReg)
-	out := bench.FormatFaultStudy(res, c.FaultLog)
-	if res.Check != nil && res.Check.Violations() > 0 {
-		failCheck(out, res.Check.Violations(), c.Seed)
-	}
-	return out
-}
-
-func runFailover(c bench.Config) string {
-	c.Check = true
-	res, err := bench.Failover(c)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	writeTrace(res.Trace, res.TraceReg)
-	out := bench.FormatFailover(res, c.FaultLog)
-	if res.Check != nil && res.Check.Violations() > 0 {
-		failCheck(out, res.Check.Violations(), c.Seed)
-	}
-	return out
-}
-
-func runOverload(c bench.Config) string {
-	res, err := bench.Overload(c)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	writeTrace(res.Trace, res.TraceReg)
-	out := bench.FormatOverload(res)
-	var violations int
-	for _, m := range res.Modes {
-		if m.Check != nil {
-			violations += m.Check.Violations()
+func huntOptions() bench.HuntOptions {
+	opts := huntOpts
+	for _, p := range strings.Split(huntProfiles, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			opts.Profiles = append(opts.Profiles, p)
 		}
 	}
-	if violations > 0 {
-		failCheck(out, violations, c.Seed)
-	}
-	return out
+	return opts
 }
 
-func runSweep(c bench.Config) string {
-	res := bench.Sweep(c)
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
+// archiveRepros writes every hunt finding's shrunk repro under reproDir.
+func archiveRepros(res *bench.HuntResult, stderr io.Writer) error {
+	if err := os.MkdirAll(reproDir, 0o755); err != nil {
+		return err
 	}
-	return bench.FormatSweep(res)
+	for _, f := range res.Findings {
+		path := filepath.Join(reproDir, fmt.Sprintf("hunt-%s-%d.json", f.Profile, f.Seed))
+		if err := bench.WriteReport(path, f.Repro); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "icgbench: repro archived: %s\n", path)
+	}
+	return nil
 }
 
-func runCapacity(c bench.Config) string {
-	res := bench.Capacity(c)
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	out := bench.FormatCapacity(res)
-	var violations int
-	for _, r := range res.Rows {
-		if r.Check != nil {
-			violations += r.Check.Violations()
-		}
-	}
-	if violations > 0 {
-		failCheck(out, violations, c.Seed)
-	}
-	return out
-}
-
-func runHunt(c bench.Config) string {
-	opts := bench.HuntOptions{
-		Seeds:     huntSeeds,
-		StartSeed: huntStart,
-		Workers:   huntWorkers,
-		Plant:     huntPlant,
-	}
-	if huntProfiles != "" {
-		for _, p := range strings.Split(huntProfiles, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				opts.Profiles = append(opts.Profiles, p)
-			}
-		}
-	}
-	res, err := bench.Hunt(c, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	out := bench.FormatHunt(res)
-	if len(res.Findings) > 0 {
-		// Archive every shrunk repro, then fail the consistency gate.
-		if err := os.MkdirAll(reproDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range res.Findings {
-			path := filepath.Join(reproDir, fmt.Sprintf("hunt-%s-%d.json", f.Profile, f.Seed))
-			writeArtifact(path, bench.WriteReport(path, f.Repro))
-			fmt.Fprintf(os.Stderr, "icgbench: repro archived: %s\n", path)
-		}
-		failCheck(out, len(res.Findings), c.Seed)
-	}
-	return out
-}
-
-// runRepro replays an archived hunt repro and reports whether the outcome
-// is byte-identical to the archived violation.
-func runRepro(path string) {
+// replay replays an archived hunt repro and reports whether the outcome is
+// byte-identical to the archived violation.
+func replay(path string, stdout, stderr io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "icgbench: %v\n", err)
+		return 2
 	}
 	r, err := bench.ParseHuntRepro(data)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "icgbench: %v\n", err)
+		return 2
 	}
 	res, err := bench.HuntReplay(r)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "icgbench: %v\n", err)
+		return 2
 	}
-	fmt.Printf("replay %s: profile %s seed %d (planted=%v)\n", path, r.Profile, r.Seed, r.Planted)
-	fmt.Printf("  archived: %s\n", r.Violation)
-	fmt.Printf("  replayed: %s\n", res.Violation)
+	fmt.Fprintf(stdout, "replay %s: profile %s seed %d (planted=%v)\n", path, r.Profile, r.Seed, r.Planted)
+	fmt.Fprintf(stdout, "  archived: %s\n", r.Violation)
+	fmt.Fprintf(stdout, "  replayed: %s\n", res.Violation)
 	if res.Identical {
-		fmt.Println("  IDENTICAL: violation and history digest reproduce byte-for-byte")
-		return
+		fmt.Fprintln(stdout, "  IDENTICAL: violation and history digest reproduce byte-for-byte")
+		return 0
 	}
-	fmt.Printf("  archived digest: %s\n  replayed digest: %s\n", r.HistoryDigest, res.HistoryDigest)
-	fmt.Fprintln(os.Stderr, "icgbench: replay DIVERGED from the archived repro")
-	os.Exit(3)
+	fmt.Fprintf(stdout, "  archived digest: %s\n  replayed digest: %s\n", r.HistoryDigest, res.HistoryDigest)
+	fmt.Fprintln(stderr, "icgbench: replay DIVERGED from the archived repro")
+	return 3
 }
 
 // list prints the experiment registry, the fault-scenario catalog, and the
 // random-profile names.
-func list() {
-	fmt.Println("experiments (-exp):")
+func list(stdout io.Writer) {
+	fmt.Fprintln(stdout, "experiments (-exp):")
 	for _, e := range experiments {
 		tag := "      "
 		if e.paper {
 			tag = "paper "
 		}
-		fmt.Printf("  %-10s %s%s\n", e.name, tag, e.desc)
+		fmt.Fprintf(stdout, "  %-10s %s%s\n", e.name, tag, e.desc)
 	}
-	fmt.Println("\nfault scenarios (-faults, faultstudy):")
+	fmt.Fprintln(stdout, "\nfault scenarios (-faults, faultstudy):")
 	for _, name := range faults.ScenarioNames() {
 		s, err := faults.ScenarioByName(name, time.Second)
 		if err != nil {
 			continue
 		}
-		fmt.Printf("  %-20s %s\n", name, s.Description)
+		fmt.Fprintf(stdout, "  %-20s %s\n", name, s.Description)
 	}
-	fmt.Println("\nrandom fault profiles (-faults <seed>:<profile>, -hunt-profiles):")
+	fmt.Fprintln(stdout, "\nrandom fault profiles (-faults <seed>:<profile>, -hunt-profiles):")
 	for _, name := range faults.ProfileNames() {
-		fmt.Printf("  %s\n", name)
+		fmt.Fprintf(stdout, "  %s\n", name)
 	}
 }
 
 func main() {
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli runs icgbench with args and returns the process exit status: 0 on
+// success, 1 on a failed artifact write, 2 on bad usage or a failed
+// experiment, 3 on a consistency violation.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("icgbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp = flag.String("exp", "all",
-			"experiment to run: 'all' (the paper figures), or a comma list of "+strings.Join(expNames(false), ", "))
-		clockMode = flag.String("clock", "virtual", "clock mode: 'virtual' (deterministic, CPU speed) or 'wall' (scaled real time)")
-		scale     = flag.Float64("scale", 0.25, "model-to-wall time scale in -clock=wall mode (1.0 = real time)")
-		seed      = flag.Int64("seed", 42, "random seed")
-		quick     = flag.Bool("quick", false, "reduced samples/durations (smoke run)")
-		faultSpec = flag.String("faults", "",
+		exp = fs.String("exp", "all",
+			"experiment to run: 'all' (the paper figures), or a comma list of "+strings.Join(expNames(everyExp), ", "))
+		clockMode = fs.String("clock", "virtual", "clock mode: 'virtual' (deterministic, CPU speed) or 'wall' (scaled real time)")
+		scale     = fs.Float64("scale", 0.25, "model-to-wall time scale in -clock=wall mode (1.0 = real time)")
+		seed      = fs.Int64("seed", 42, "random seed")
+		quick     = fs.Bool("quick", false, "reduced samples/durations (smoke run)")
+		faultSpec = fs.String("faults", "",
 			"fault scenario for -exp faultstudy: one of "+strings.Join(faults.ScenarioNames(), ", ")+
 				", or '<seed>:<profile>' (profiles: "+strings.Join(faults.ProfileNames(), ", ")+
 				") for a replayable random schedule; default minority-partition")
-		faultLog = flag.Bool("fault-log", false, "print the applied fault-transition log with the fault study")
-		sweep    = flag.Bool("sweep", false,
+		faultLog = fs.Bool("fault-log", false, "print the applied fault-transition log with the fault study")
+		sweep    = fs.Bool("sweep", false,
 			"also run the quorum x geography parameter sweep (shorthand for adding 'sweep' to -exp)")
-		check = flag.Bool("check", false,
+		check = fs.Bool("check", false,
 			"faultstudy: run a consistency-checked session population alongside the measured one and verify its "+
 				"recorded history (session guarantees + per-key linearizability); exit nonzero on any violation")
-		showList = flag.Bool("list", false, "list experiments, fault scenarios and profiles, then exit")
-		repro    = flag.String("repro", "", "replay an archived hunt repro JSON and verify byte-identical reproduction")
+		showList = fs.Bool("list", false, "list experiments, fault scenarios and profiles, then exit")
+		repro    = fs.String("repro", "", "replay an archived hunt repro JSON and verify byte-identical reproduction")
+		jsonOut  = fs.String("json", "", "write the experiment's result as JSON to this path")
+		traceOut = fs.String("trace", "", "record model-time spans and sampled gauges, and write them as Chrome trace-event JSON "+
+			"(Perfetto-loadable) to this path ("+strings.Join(expNames(tracedExp), ", ")+")")
 	)
-	flag.StringVar(&faultJSON, "fault-json", "", "write the experiment result as JSON to this path (faultstudy, failover, overload, sweep, capacity, hunt)")
-	flag.StringVar(&traceOut, "trace", "", "record model-time spans and sampled gauges, and write them as Chrome trace-event JSON (Perfetto-loadable) to this path (faultstudy, failover, overload)")
-	flag.IntVar(&huntSeeds, "hunt-seeds", 0, "hunt: seeds swept per profile (default 1000, or 16 with -quick)")
-	flag.Int64Var(&huntStart, "hunt-start", 0, "hunt: first seed (default -seed)")
-	flag.StringVar(&huntProfiles, "hunt-profiles", "", "hunt: comma list of fault profiles (default tracks-mild,tracks-harsh)")
-	flag.IntVar(&huntWorkers, "hunt-workers", 0, "hunt: parallel worlds (default GOMAXPROCS)")
-	flag.BoolVar(&huntPlant, "hunt-plant", false, "hunt: enable the planted version-corruption bug (self-test; the hunt must find it)")
-	flag.StringVar(&reproDir, "repro-dir", "hunt-repros", "hunt: directory to archive shrunk repro JSONs in on findings")
-	flag.Parse()
+	fs.IntVar(&huntOpts.Seeds, "hunt-seeds", 0, "hunt: seeds swept per profile (default 1000, or 16 with -quick)")
+	fs.Int64Var(&huntOpts.StartSeed, "hunt-start", 0, "hunt: first seed (default -seed)")
+	fs.StringVar(&huntProfiles, "hunt-profiles", "", "hunt: comma list of fault profiles (default tracks-mild,tracks-harsh)")
+	fs.IntVar(&huntOpts.Workers, "hunt-workers", 0, "hunt: parallel worlds (default GOMAXPROCS)")
+	fs.BoolVar(&huntOpts.Plant, "hunt-plant", false, "hunt: enable the planted version-corruption bug (self-test; the hunt must find it)")
+	fs.StringVar(&reproDir, "repro-dir", "hunt-repros", "hunt: directory to archive shrunk repro JSONs in on findings")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *showList {
-		list()
-		return
+		list(stdout)
+		return 0
 	}
 	if *repro != "" {
-		runRepro(*repro)
-		return
+		return replay(*repro, stdout, stderr)
 	}
 
 	var wall bool
@@ -362,44 +273,77 @@ func main() {
 	case "wall":
 		wall = true
 	default:
-		fmt.Fprintf(os.Stderr, "icgbench: unknown -clock mode %q (have virtual, wall)\n", *clockMode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "icgbench: unknown -clock mode %q (have virtual, wall)\n", *clockMode)
+		return 2
 	}
-	cfg := bench.Config{Wall: wall, Scale: *scale, Seed: *seed, Quick: *quick,
-		Faults: *faultSpec, FaultLog: *faultLog, Check: *check, Trace: traceOut != ""}
 
 	var names []string
 	if *exp == "all" {
-		names = expNames(true)
+		names = expNames(paperExp)
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := expByName(name); !ok {
-				fmt.Fprintf(os.Stderr, "icgbench: unknown experiment %q (have %s)\n",
-					name, strings.Join(expNames(false), ", "))
-				os.Exit(2)
+				fmt.Fprintf(stderr, "icgbench: unknown experiment %q (have %s)\n",
+					name, strings.Join(expNames(everyExp), ", "))
+				return 2
 			}
 			names = append(names, name)
 		}
 	}
-	if *sweep && !contains(names, "sweep") {
+	if *sweep && !slices.Contains(names, "sweep") {
 		names = append(names, "sweep")
 	}
+	if (*jsonOut != "" || *traceOut != "") && len(names) > 1 {
+		fmt.Fprintf(stderr, "icgbench: -json and -trace write one experiment's artifact; %d experiments selected (%s)\n",
+			len(names), strings.Join(names, ", "))
+		return 2
+	}
+	if *traceOut != "" {
+		if e, _ := expByName(names[0]); !e.traced {
+			fmt.Fprintf(stderr, "icgbench: -trace: %s records no trace (traced experiments: %s)\n",
+				e.name, strings.Join(expNames(tracedExp), ", "))
+			return 2
+		}
+	}
+	cfg := bench.Config{Wall: wall, Scale: *scale, Seed: *seed, Quick: *quick,
+		Faults: *faultSpec, FaultLog: *faultLog, Check: *check, Trace: *traceOut != ""}
 
 	for _, name := range names {
 		e, _ := expByName(name)
 		start := time.Now()
-		out := e.run(cfg)
-		fmt.Print(out)
-		fmt.Printf("-- %s completed in %v (wall)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-}
-
-func contains(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
+		rep, err := e.run(cfg)
+		if err != nil {
+			fmt.Fprintf(stderr, "icgbench: %v\n", err)
+			return 2
 		}
+		fmt.Fprint(stdout, rep.Text())
+		if *jsonOut != "" {
+			if err := bench.WriteReport(*jsonOut, rep); err != nil {
+				fmt.Fprintf(stderr, "icgbench: writing %s: %v\n", *jsonOut, err)
+				return 1
+			}
+		}
+		if *traceOut != "" {
+			trc, reg := rep.Tracer()
+			if err := bench.WriteTrace(*traceOut, trc, reg); err != nil {
+				fmt.Fprintf(stderr, "icgbench: writing %s: %v\n", *traceOut, err)
+				return 1
+			}
+		}
+		if n := rep.Violations(); n > 0 {
+			if res, ok := rep.(*bench.HuntResult); ok {
+				// Archive every shrunk repro before failing the gate.
+				if err := archiveRepros(res, stderr); err != nil {
+					fmt.Fprintf(stderr, "icgbench: %v\n", err)
+					return 1
+				}
+			}
+			fmt.Fprintf(stderr, "icgbench: consistency check FAILED with %d violations (seed %d replays them byte-identically)\n",
+				n, *seed)
+			return 3
+		}
+		fmt.Fprintf(stdout, "-- %s completed in %v (wall)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	return false
+	return 0
 }

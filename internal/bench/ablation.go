@@ -10,6 +10,20 @@ import (
 // beyond the paper's figures: they isolate the mechanism behind a result by
 // sweeping the single parameter that produces it.
 
+// AblationResult is the ablations experiment's output: both sweeps.
+type AblationResult struct {
+	ReplicationLag []AblationLagRow   `json:"replication_lag"`
+	FlushCost      []AblationFlushRow `json:"flush_cost"`
+}
+
+// Ablations runs the replication-lag ablation, then the flush-cost one.
+func Ablations(cfg Config) AblationResult {
+	return AblationResult{
+		ReplicationLag: ablationReplicationLag(cfg),
+		FlushCost:      ablationFlushCost(cfg),
+	}
+}
+
 // AblationLagRow is one datapoint of the replication-lag ablation: how the
 // staleness window (asynchronous replication delay) drives preliminary/
 // final divergence. Fig 7's divergence is entirely produced by this lag;
@@ -17,17 +31,17 @@ import (
 // almost nothing.
 type AblationLagRow struct {
 	// ReplicationDelay is the swept staleness window.
-	ReplicationDelay time.Duration
+	ReplicationDelay time.Duration `json:"replication_delay_ns"`
 	// DivergencePct is measured under workload A-Latest, the paper's
 	// worst case.
-	DivergencePct float64
-	Reads         int64
+	DivergencePct float64 `json:"divergence_pct"`
+	Reads         int64   `json:"reads"`
 }
 
-// AblationReplicationLag sweeps the asynchronous-replication delay and
+// ablationReplicationLag sweeps the asynchronous-replication delay and
 // measures divergence under the Fig 7 worst-case conditions (workload A,
 // Latest distribution, 1K objects).
-func AblationReplicationLag(cfg Config) []AblationLagRow {
+func ablationReplicationLag(cfg Config) []AblationLagRow {
 	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(10*time.Second, 2*time.Second) // model time
 	threadsTotal := cfg.pick(120, 24)
@@ -71,17 +85,17 @@ func AblationReplicationLag(cfg Config) []AblationLagRow {
 // percent of throughput in Fig 6.
 type AblationFlushRow struct {
 	// FlushCost is the swept per-read coordinator overhead.
-	FlushCost time.Duration
+	FlushCost time.Duration `json:"flush_cost_ns"`
 	// Throughput is total attained ops/s under saturation-level load.
-	Throughput float64
+	Throughput float64 `json:"throughput_ops"`
 	// DropPct is the throughput cost relative to the zero-flush-cost run.
-	DropPct float64
+	DropPct float64 `json:"drop_pct"`
 }
 
-// AblationFlushCost sweeps the preliminary-flushing service time and
+// ablationFlushCost sweeps the preliminary-flushing service time and
 // measures attained throughput under saturating load (workload C so that
 // every operation exercises the flush path).
-func AblationFlushCost(cfg Config) []AblationFlushRow {
+func ablationFlushCost(cfg Config) []AblationFlushRow {
 	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(10*time.Second, 2*time.Second) // model time
 	threadsTotal := cfg.pick(96, 24)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"correctables/internal/cassandra"
+	"correctables/internal/faults"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
 	"correctables/internal/zk"
@@ -44,8 +45,8 @@ type Config struct {
 	// Check adds a consistency-checked session population to the fault
 	// study: its clients run through the session API with a history
 	// recorder attached, and the recorded history is verified after the
-	// run (session guarantees plus per-key register linearizability). Only
-	// the faultstudy experiment reads it.
+	// run (session guarantees plus per-key register linearizability).
+	// faultstudy and failover read it; icgbench always checks failover.
 	Check bool
 	// Trace attaches the model-time span tracer and time-series registry
 	// to the experiment fabric (faultstudy, failover, overload). The
@@ -133,6 +134,21 @@ func (h *harness) startSampling(horizon time.Duration) {
 		every = time.Millisecond
 	}
 	h.reg.Start(h.clock, every, horizon)
+}
+
+// observe folds the span tracer into one latency-decomposition row per
+// phase and collects the sampled gauges: the Traced block a result embeds.
+// Zero when tracing is off.
+func (h *harness) observe(phases []faults.Phase) Traced {
+	if h.trc == nil {
+		return Traced{}
+	}
+	t := Traced{trc: h.trc, reg: h.reg}
+	for _, ph := range phases {
+		t.Decomp = append(t.Decomp, decompRow(h.trc, ph.Name, ph.Start, ph.End))
+	}
+	t.Timeseries = h.reg.Series()
+	return t
 }
 
 // drain runs the harness's background traffic (async replication, commit

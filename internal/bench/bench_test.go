@@ -99,7 +99,8 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestFig12Shapes(t *testing.T) {
-	points, summaries := Fig12(quickCfg())
+	res := Fig12(quickCfg())
+	summaries := res.Summaries
 	if len(summaries) != 2 {
 		t.Fatalf("fig12 summaries = %d", len(summaries))
 	}
@@ -125,7 +126,7 @@ func TestFig12Shapes(t *testing.T) {
 	if czk.FastAvg*2 >= zkSum.SlowAvg {
 		t.Errorf("CZK fast (%v) should be well below ZK (%v)", czk.FastAvg, zkSum.SlowAvg)
 	}
-	if s := FormatFig12(points, summaries); !strings.Contains(s, "Figure 12") {
+	if s := FormatFig12(res); !strings.Contains(s, "Figure 12") {
 		t.Error("FormatFig12 missing title")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"correctables/internal/history"
 	"correctables/internal/load"
 	"correctables/internal/metrics"
+	"correctables/internal/trace"
 )
 
 // The capacity study: the sharded storage plane's headline experiment.
@@ -104,6 +105,18 @@ type CapacityResult struct {
 	// 1-shard cell — the capacity-scaling headline.
 	ScalingX float64 `json:"scaling_x"`
 }
+
+// Violations implements Report: every cell's history check.
+func (res *CapacityResult) Violations() int {
+	n := 0
+	for _, r := range res.Rows {
+		n += r.Check.Violations()
+	}
+	return n
+}
+
+// Tracer implements Report: the capacity study is never traced.
+func (res *CapacityResult) Tracer() (*trace.Tracer, *trace.Registry) { return nil, nil }
 
 func capOwnKey(i int) string    { return fmt.Sprintf("cap-own-%05d", i&(capOwnKeys-1)) }
 func capSharedKey(i int) string { return fmt.Sprintf("cap-pool-%04d", i) }
@@ -346,10 +359,4 @@ func Capacity(cfg Config) *CapacityResult {
 		res.ScalingX = last.ThroughputOps / first.ThroughputOps
 	}
 	return res
-}
-
-// CapacityJSON renders the study as indented JSON (the BENCH_capacity.json
-// artifact; byte-identical across same-seed runs).
-func CapacityJSON(res *CapacityResult) ([]byte, error) {
-	return marshalReport(res)
 }

@@ -11,7 +11,6 @@ import (
 	"correctables/internal/history"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
-	"correctables/internal/trace"
 	"correctables/internal/zk"
 )
 
@@ -77,15 +76,17 @@ type FailoverResult struct {
 	Rows        []FailoverRow `json:"rows"`
 	Transitions []string      `json:"transitions"`
 	Check       *CheckReport  `json:"check,omitempty"`
-	// Decomp and Timeseries are the observability plane's output
-	// (Config.Trace runs only); the decomposition's election column is
-	// this experiment's signature — it lights up exactly in the outage
-	// phase. Trace/TraceReg carry the exportable tracer (icgbench -trace).
-	Decomp     []PhaseDecomp      `json:"latency_decomposition,omitempty"`
-	Timeseries []trace.TimeSeries `json:"timeseries,omitempty"`
-	Trace      *trace.Tracer      `json:"-"`
-	TraceReg   *trace.Registry    `json:"-"`
+	// Traced's decomposition reuses the recovery phases: its election
+	// column is this experiment's signature — nonzero only where an
+	// election window overlaps the phase, the outage row by construction.
+	Traced
+
+	// faultLog appends the transition log to Text (Config.FaultLog).
+	faultLog bool
 }
+
+// Violations implements Report.
+func (res *FailoverResult) Violations() int { return res.Check.Violations() }
 
 // Failover runs a closed-loop enqueue workload against Correctable
 // ZooKeeper while a partition severs the leader's region mid-run: the
@@ -263,8 +264,9 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		OpTimeoutMs: metrics.Ms(opTimeout),
 		HeartbeatMs: metrics.Ms(hb), ElectionTimeoutMs: metrics.Ms(et),
 		FaultAtMs: metrics.Ms(faultAt), HealAtMs: metrics.Ms(healAt), HorizonMs: metrics.Ms(horizon),
-		Threads: threads,
-		Seed:    cfg.Seed,
+		Threads:  threads,
+		Seed:     cfg.Seed,
+		faultLog: cfg.FaultLog,
 	}
 	for _, tr := range inj.Log() {
 		res.Transitions = append(res.Transitions, tr.At.String()+": "+tr.Desc)
@@ -322,7 +324,7 @@ func Failover(cfg Config) (*FailoverResult, error) {
 			var completed int64
 			for _, shard := range shards[pi] {
 				for _, op := range shard {
-					if phaseOf(phases, op) != i {
+					if phaseOf(phases, op.at()) != i {
 						continue
 					}
 					row.Ops++
@@ -346,26 +348,9 @@ func Failover(cfg Config) (*FailoverResult, error) {
 			res.Rows = append(res.Rows, row)
 		}
 	}
-
-	if h.trc != nil {
-		// The decomposition rows reuse the recovery phases computed above:
-		// the election column is nonzero only where an election window
-		// overlaps the phase — the outage row, by construction.
-		for _, ph := range phases {
-			res.Decomp = append(res.Decomp, decompRow(h.trc, ph.Name, ph.Start, ph.End))
-		}
-		res.Timeseries = h.reg.Series()
-		res.Trace = h.trc
-		res.TraceReg = h.reg
-	}
-
+	res.Traced = h.observe(phases)
 	if recorder != nil {
 		res.Check = buildCheckReport(recorder, checkClients, "queues")
 	}
 	return res, nil
-}
-
-// FailoverJSON marshals a result for BENCH_failover.json.
-func FailoverJSON(res *FailoverResult) ([]byte, error) {
-	return marshalReport(res)
 }

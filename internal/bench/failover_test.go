@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -12,8 +11,9 @@ import (
 // TestFailoverRecoveryBounded is the recovery acceptance gate: the failover
 // experiment must elect a replacement leader within the election-timeout
 // bound, keep preliminary views flowing (at flat latency) right through the
-// outage, confine final unavailability to the fault window, pass the
-// history checkers, and replay byte-identically from the seed.
+// outage, confine final unavailability to the fault window and pass the
+// history checkers. Same-seed replay is TestExperimentsReplay's
+// (cmd/icgbench).
 func TestFailoverRecoveryBounded(t *testing.T) {
 	cfg := Config{Quick: true, Seed: 42, Check: true}
 	res, err := Failover(cfg)
@@ -110,19 +110,5 @@ func TestFailoverRecoveryBounded(t *testing.T) {
 	}
 	for _, v := range append(res.Check.SessionViolations, res.Check.LinViolations...) {
 		t.Errorf("violation: %s", v)
-	}
-
-	// Same seed, byte-identical replay — including the history digest.
-	res2, err := Failover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err1 := FailoverJSON(res)
-	j2, err2 := FailoverJSON(res2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Error("same-seed failover runs are not byte-identical")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"correctables/internal/history"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
-	"correctables/internal/trace"
 	"correctables/internal/ycsb"
 )
 
@@ -75,40 +74,14 @@ type FaultStudyResult struct {
 	Transitions []string `json:"transitions"`
 	// Check is the consistency-check report (Config.Check runs only).
 	Check *CheckReport `json:"check,omitempty"`
-	// Decomp and Timeseries are the observability plane's output
-	// (Config.Trace runs only): per-phase latency decomposition from the
-	// span tracer, and the registry's sampled gauges.
-	Decomp     []PhaseDecomp      `json:"latency_decomposition,omitempty"`
-	Timeseries []trace.TimeSeries `json:"timeseries,omitempty"`
-	// Trace and TraceReg carry the raw tracer and registry for Chrome
-	// trace export (icgbench -trace); they do not marshal.
-	Trace    *trace.Tracer   `json:"-"`
-	TraceReg *trace.Registry `json:"-"`
+	Traced
+
+	// faultLog appends the transition log to Text (Config.FaultLog).
+	faultLog bool
 }
 
-// CheckReport is the outcome of verifying the checked session population's
-// recorded history.
-type CheckReport struct {
-	// Clients and Ops size the checked population and its history.
-	Clients int `json:"clients"`
-	Ops     int `json:"ops"`
-	// SessionViolations and LinViolations render each detected violation
-	// with its witness subsequence (empty = verified clean). Reproduce any
-	// of them with the run's Seed: replay is byte-identical.
-	SessionViolations []string `json:"session_violations"`
-	LinViolations     []string `json:"linearizability_violations"`
-	// Inconclusive lists keys whose linearizability search exhausted its
-	// budget (not violations).
-	Inconclusive []string `json:"inconclusive_keys,omitempty"`
-	// HistoryDigest is the SHA-256 of the serialized history: same seed,
-	// same digest — the byte-identical-replay witness.
-	HistoryDigest string `json:"history_digest"`
-}
-
-// Violations reports the total number of detected violations.
-func (r *CheckReport) Violations() int {
-	return len(r.SessionViolations) + len(r.LinViolations)
-}
+// Violations implements Report.
+func (res *FaultStudyResult) Violations() int { return res.Check.Violations() }
 
 // faultOp is one operation's record in the study.
 type faultOp struct {
@@ -122,16 +95,21 @@ type faultOp struct {
 	diverged  bool
 }
 
-// phaseOf buckets one operation: completed operations belong to the phase
-// they started in (their latency reflects the conditions they ran under),
-// failed ones to the phase their timeout fired in (a read that starts just
-// before a fault window and times out inside it is that fault's casualty,
-// not the healthy baseline's). Instants past the last phase clamp into it.
-func phaseOf(phases []faults.Phase, op faultOp) int {
-	at := op.start
+// at is the instant that buckets the operation into a phase: completed
+// operations belong to the phase they started in (their latency reflects
+// the conditions they ran under), failed ones to the phase their timeout
+// fired in (a read that starts just before a fault window and times out
+// inside it is that fault's casualty, not the healthy baseline's).
+func (op faultOp) at() time.Duration {
 	if op.err {
-		at = op.end
+		return op.end
 	}
+	return op.start
+}
+
+// phaseOf maps a model instant into its phase, clamping instants past the
+// last phase (ops that die during the drain) into it.
+func phaseOf(phases []faults.Phase, at time.Duration) int {
 	for i, ph := range phases {
 		if at < ph.End {
 			return i
@@ -328,6 +306,7 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 		OpTimeoutMs: metrics.Ms(opTimeout),
 		Threads:     threads,
 		Seed:        cfg.Seed,
+		faultLog:    cfg.FaultLog,
 	}
 	for _, tr := range inj.Log() {
 		res.Transitions = append(res.Transitions, tr.At.String()+": "+tr.Desc)
@@ -341,7 +320,7 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 		var completed, diverged, divergeBase int64
 		for _, shard := range shards {
 			for _, op := range shard {
-				if phaseOf(scen.Phases, op) != i {
+				if phaseOf(scen.Phases, op.at()) != i {
 					continue
 				}
 				if op.isRead {
@@ -392,18 +371,6 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 		row.Retried = loadAt[i].Retried - prevLoad.Retried
 		res.Rows = append(res.Rows, row)
 	}
-	if h.trc != nil {
-		for _, ph := range scen.Phases {
-			res.Decomp = append(res.Decomp, decompRow(h.trc, ph.Name, ph.Start, ph.End))
-		}
-		res.Timeseries = h.reg.Series()
-		res.Trace = h.trc
-		res.TraceReg = h.reg
-	}
+	res.Traced = h.observe(scen.Phases)
 	return res, nil
-}
-
-// FaultStudyJSON marshals a result for BENCH_faultstudy.json.
-func FaultStudyJSON(res *FaultStudyResult) ([]byte, error) {
-	return marshalReport(res)
 }

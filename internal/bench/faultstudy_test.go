@@ -23,7 +23,7 @@ func faultStudyFingerprint(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := FaultStudyJSON(res)
+	data, err := marshalReport(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFaultSeedSweepDeterminism(t *testing.T) {
 				if err != nil {
 					return "", err
 				}
-				data, err := FaultStudyJSON(res)
+				data, err := marshalReport(res)
 				return string(data), err
 			}
 			a, err := run()

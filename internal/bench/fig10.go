@@ -10,13 +10,13 @@ import (
 // Fig10Row is one datapoint of Figure 10: client-link bandwidth per dequeue
 // operation, as contention (number of clients) grows, for one queue size.
 type Fig10Row struct {
-	System string // "ZK" or "CZK"
+	System string `json:"system"` // "ZK" or "CZK"
 	// QueueSize is the standing queue length (500 or 1000 tickets).
-	QueueSize int
+	QueueSize int `json:"queue_size"`
 	// Clients is the number of concurrently dequeuing clients.
-	Clients int
+	Clients int `json:"clients"`
 	// KBPerOp is client-link kilobytes per successful dequeue.
-	KBPerOp float64
+	KBPerOp float64 `json:"kb_per_op"`
 }
 
 // fig10ClientSweep mirrors the paper's x-axis.

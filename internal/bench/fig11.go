@@ -17,19 +17,19 @@ import (
 // throughput for the ad serving system and Twissandra, baseline (C2, no
 // speculation) vs ICG (CC2 with speculation), under YCSB-shaped workloads.
 type Fig11Row struct {
-	App      string // "ads" or "twissandra"
-	Workload string // "A", "B", "C"
-	System   string // "C2" or "CC2"
-	Threads  int
+	App      string `json:"app"`      // "ads" or "twissandra"
+	Workload string `json:"workload"` // "A", "B", "C"
+	System   string `json:"system"`   // "C2" or "CC2"
+	Threads  int    `json:"threads"`
 	// Throughput is application operations per model second.
-	Throughput float64
+	Throughput float64 `json:"throughput_ops"`
 	// Latency is the average end-to-end latency of the read operation
 	// (fetchAdsByUserId / get_timeline), including the speculative or
 	// sequential second-stage fetch.
-	Latency time.Duration
+	Latency time.Duration `json:"latency_ns"`
 	// MisspeculationPct is the fraction of speculative reads whose
 	// preliminary diverged (the paper observes < 1%).
-	MisspeculationPct float64
+	MisspeculationPct float64 `json:"misspeculation_pct"`
 }
 
 // fig11ThreadSweep returns per-app client thread counts.

@@ -16,25 +16,34 @@ import (
 // a given position in the selling order.
 type Fig12Point struct {
 	// System is "CZK" (ICG with threshold) or "ZK" (always strong).
-	System string
+	System string `json:"system"`
 	// TicketNumber is the position in the selling order (1-based).
-	TicketNumber int
+	TicketNumber int `json:"ticket_number"`
 	// Latency is the model-time purchase-decision latency.
-	Latency time.Duration
+	Latency time.Duration `json:"latency_ns"`
 	// UsedPreliminary reports a weak-view confirmation (CZK only).
-	UsedPreliminary bool
+	UsedPreliminary bool `json:"used_preliminary"`
 }
 
 // Fig12Summary condenses the series the way the paper discusses it.
 type Fig12Summary struct {
-	System string
+	System string `json:"system"`
 	// FastAvg is the average latency of preliminary-confirmed purchases;
 	// SlowAvg of final-view purchases (for ZK, everything is slow).
-	FastAvg, SlowAvg     time.Duration
-	FastCount, SlowCount int
+	FastAvg   time.Duration `json:"fast_avg_ns"`
+	SlowAvg   time.Duration `json:"slow_avg_ns"`
+	FastCount int           `json:"fast_count"`
+	SlowCount int           `json:"slow_count"`
 	// Revoked counts preliminary confirmations contradicted by the final
 	// view (the paper saw on average 2, max 6).
-	Revoked int
+	Revoked int `json:"revoked"`
+}
+
+// Fig12Result is Figure 12's output: every sale in selling order, and the
+// per-system latency regimes.
+type Fig12Result struct {
+	Points    []Fig12Point   `json:"points"`
+	Summaries []Fig12Summary `json:"summaries"`
 }
 
 // Fig12 reproduces Figure 12: four retailers colocated with the FRK
@@ -42,13 +51,12 @@ type Fig12Summary struct {
 // With CZK + ICG, purchases confirm on the preliminary view while more than
 // Threshold (20) tickets remain, then switch to waiting for the final
 // (atomic) view. Vanilla ZK pays coordination latency for every ticket.
-func Fig12(cfg Config) ([]Fig12Point, []Fig12Summary) {
+func Fig12(cfg Config) Fig12Result {
 	cfg = cfg.withDefaults()
 	stock := cfg.pick(500, 60)
 	const retailers = 4
 
-	var points []Fig12Point
-	var summaries []Fig12Summary
+	var out Fig12Result
 
 	run := func(system string, correctable bool) {
 		h := newHarness(cfg)
@@ -112,8 +120,8 @@ func Fig12(cfg Config) ([]Fig12Point, []Fig12Summary) {
 				slow.Record(p.Latency)
 			}
 		}
-		points = append(points, results...)
-		summaries = append(summaries, Fig12Summary{
+		out.Points = append(out.Points, results...)
+		out.Summaries = append(out.Summaries, Fig12Summary{
 			System:    system,
 			FastAvg:   fast.Mean(),
 			SlowAvg:   slow.Mean(),
@@ -125,5 +133,5 @@ func Fig12(cfg Config) ([]Fig12Point, []Fig12Summary) {
 
 	run("CZK", true)
 	run("ZK", false)
-	return points, summaries
+	return out
 }

@@ -14,12 +14,13 @@ import (
 // for one system/view, grouped by read quorum size.
 type Fig5Row struct {
 	// Group is the quorum group ("R=1", "R=2", "R=3").
-	Group string
+	Group string `json:"group"`
 	// System is the bar label (C1, C2, C3, CC2 preliminary, CC2 final,
 	// CC3 preliminary, CC3 final).
-	System string
+	System string `json:"system"`
 	// Avg and P99 are model-time latencies.
-	Avg, P99 time.Duration
+	Avg time.Duration `json:"avg_ns"`
+	P99 time.Duration `json:"p99_ns"`
 }
 
 // Fig5 reproduces Figure 5: single-request latencies for different quorum

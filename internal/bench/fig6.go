@@ -10,17 +10,17 @@ import (
 // attained throughput for one system under one YCSB workload, at one
 // offered-load level (thread count).
 type Fig6Row struct {
-	Workload string // "A", "B", "C"
-	System   string // "C1", "C2", "CC2 preliminary", "CC2 final"
+	Workload string `json:"workload"` // "A", "B", "C"
+	System   string `json:"system"`   // "C1", "C2", "CC2 preliminary", "CC2 final"
 	// Threads is the total client threads across the three regions.
-	Threads int
+	Threads int `json:"threads"`
 	// Throughput is attained ops/s (model time) summed over all clients.
-	Throughput float64
+	Throughput float64 `json:"throughput_ops"`
 	// Latency is the average read-view latency for the IRL client (the one
 	// the paper reports).
-	Latency time.Duration
+	Latency time.Duration `json:"latency_ns"`
 	// P99 is the 99th-percentile latency for the IRL client.
-	P99 time.Duration
+	P99 time.Duration `json:"p99_ns"`
 }
 
 // fig6ThreadSweep returns the offered-load levels.

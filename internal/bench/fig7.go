@@ -10,15 +10,15 @@ import (
 // preliminary view diverged from the final view, for one workload/
 // distribution at one contention level.
 type Fig7Row struct {
-	Workload     string // "A" or "B"
-	Distribution ycsb.DistKind
+	Workload     string        `json:"workload"` // "A" or "B"
+	Distribution ycsb.DistKind `json:"distribution"`
 	// Threads is the total client threads across the three regions.
-	Threads int
+	Threads int `json:"threads"`
 	// DivergencePct is 100 * diverged / reads-with-preliminary, aggregated
 	// over all clients.
-	DivergencePct float64
+	DivergencePct float64 `json:"divergence_pct"`
 	// Reads is the denominator (sample size).
-	Reads int64
+	Reads int64 `json:"reads"`
 }
 
 // fig7ThreadSweep mirrors the paper's x-axis (30..300 total threads).

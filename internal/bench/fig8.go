@@ -11,17 +11,17 @@ import (
 // transferred per operation) for one system under one workload/
 // distribution at one contention level.
 type Fig8Row struct {
-	Workload     string
-	Distribution ycsb.DistKind
-	Threads      int
+	Workload     string        `json:"workload"`
+	Distribution ycsb.DistKind `json:"distribution"`
+	Threads      int           `json:"threads"`
 	// System is "C1" (baseline weak reads), "CC2" (ICG, no confirmation
 	// optimization) or "*CC2" (ICG with the confirmation optimization).
-	System string
+	System string `json:"system"`
 	// KBPerOp is client-link kilobytes per completed operation.
-	KBPerOp float64
+	KBPerOp float64 `json:"kb_per_op"`
 	// OverheadPct is the relative overhead vs the C1 baseline at the same
 	// point (0 for C1 itself).
-	OverheadPct float64
+	OverheadPct float64 `json:"overhead_pct"`
 }
 
 // Fig8 reproduces Figure 8: bandwidth overhead of the ICG implementation in

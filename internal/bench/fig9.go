@@ -14,11 +14,12 @@ import (
 // connection and the leader.
 type Fig9Row struct {
 	// Placement names the configuration, e.g. "Follower (FRK), leader IRL".
-	Placement string
+	Placement string `json:"placement"`
 	// Series is "CZK preliminary", "CZK final" or "ZK".
-	Series string
+	Series string `json:"series"`
 	// Avg and P99 are model-time latencies.
-	Avg, P99 time.Duration
+	Avg time.Duration `json:"avg_ns"`
+	P99 time.Duration `json:"p99_ns"`
 }
 
 // fig9Config is one of the paper's four placements; the client is in IRL.

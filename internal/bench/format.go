@@ -122,9 +122,10 @@ func formatDecomp(rows []PhaseDecomp) string {
 		out)
 }
 
-// FormatFaultStudy renders the fault study's per-phase rows; withLog
-// appends the applied fault-transition log (the replay record).
-func FormatFaultStudy(res *FaultStudyResult, withLog bool) string {
+// Text implements Report: the per-phase table, the latency decomposition
+// (traced runs), the fault-transition log (Config.FaultLog, the replay
+// record) and the check summary (Config.Check).
+func (res *FaultStudyResult) Text() string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
 		out[i] = []string{r.Phase,
@@ -136,49 +137,25 @@ func FormatFaultStudy(res *FaultStudyResult, withLog bool) string {
 			fmt.Sprintf("%d", r.DroppedMsgs), fmt.Sprintf("%d", r.HintedMsgs),
 			fmt.Sprintf("%d", r.Rejected), fmt.Sprintf("%d", r.Shed), fmt.Sprintf("%d", r.Retried)}
 	}
-	s := table(
+	var b strings.Builder
+	b.WriteString(table(
 		fmt.Sprintf("Fault study: weak vs strong views under %q (CC3, YCSB B)", res.Scenario),
 		[]string{"phase", "reads", "errs", "prelim ms", "final ms", "final p99", "avail %", "div %", "dropped", "hinted", "rej", "shed", "retry"},
-		out)
-	s += formatDecomp(res.Decomp)
-	if withLog {
-		var b strings.Builder
-		b.WriteString(s)
-		b.WriteString("fault transitions:\n")
-		for _, tr := range res.Transitions {
-			fmt.Fprintf(&b, "  %s\n", tr)
-		}
-		s = b.String()
+		out))
+	b.WriteString(formatDecomp(res.Decomp))
+	if res.faultLog {
+		b.WriteString(formatTransitions(res.Transitions))
 	}
 	if res.Check != nil {
-		var b strings.Builder
-		b.WriteString(s)
-		fmt.Fprintf(&b, "consistency check: %d session clients, %d ops, history sha256 %.12s…\n",
-			res.Check.Clients, res.Check.Ops, res.Check.HistoryDigest)
-		if n := res.Check.Violations(); n == 0 {
-			b.WriteString("  session guarantees (RYW, monotonic reads, WFR): OK\n")
-			b.WriteString("  per-key register linearizability: OK\n")
-		} else {
-			fmt.Fprintf(&b, "  %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-			for _, v := range res.Check.SessionViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-			for _, v := range res.Check.LinViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-		}
-		for _, k := range res.Check.Inconclusive {
-			fmt.Fprintf(&b, "  inconclusive (budget exhausted): %s\n", k)
-		}
-		s = b.String()
+		b.WriteString(res.Check.Text("consistency check", res.Seed))
 	}
-	return s
+	return b.String()
 }
 
-// FormatFailover renders the failover experiment: the recovery summary,
-// then the per-population phase table; withLog appends the fault-transition
-// log (the replay record).
-func FormatFailover(res *FailoverResult, withLog bool) string {
+// Text implements Report: the per-population phase table, the latency
+// decomposition (traced runs), the recovery summary, the fault-transition
+// log (Config.FaultLog) and the check summary.
+func (res *FailoverResult) Text() string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
 		out[i] = []string{r.Population, r.Phase,
@@ -196,60 +173,47 @@ func FormatFailover(res *FailoverResult, withLog bool) string {
 		res.NewLeader, res.Epoch, res.TimeToRecoveryMs, res.ElectionTimeoutMs)
 	fmt.Fprintf(&b, "  prelim-only window: %.0fms (first post-fault commit at %.0fms); %d preliminary views served inside it\n",
 		res.PrelimOnlyWindowMs, res.FirstFinalAfterFaultMs, res.OutagePrelims)
-	if withLog {
-		b.WriteString("fault transitions:\n")
-		for _, tr := range res.Transitions {
-			fmt.Fprintf(&b, "  %s\n", tr)
-		}
+	if res.faultLog {
+		b.WriteString(formatTransitions(res.Transitions))
 	}
 	if res.Check != nil {
-		fmt.Fprintf(&b, "consistency check: %d session clients, %d ops, history sha256 %.12s…\n",
-			res.Check.Clients, res.Check.Ops, res.Check.HistoryDigest)
-		if n := res.Check.Violations(); n == 0 {
-			b.WriteString("  session guarantees (RYW, monotonic reads, WFR): OK\n")
-			b.WriteString("  per-queue linearizability: OK\n")
-		} else {
-			fmt.Fprintf(&b, "  %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-			for _, v := range res.Check.SessionViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-			for _, v := range res.Check.LinViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-		}
-		for _, k := range res.Check.Inconclusive {
-			fmt.Fprintf(&b, "  inconclusive (budget exhausted): %s\n", k)
-		}
+		b.WriteString(res.Check.Text("consistency check", res.Seed))
 	}
 	return b.String()
 }
 
-// FormatAblationLag renders the replication-lag ablation.
-func FormatAblationLag(rows []AblationLagRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{fmt.Sprintf("%v", r.ReplicationDelay),
-			fmt.Sprintf("%.1f", r.DivergencePct), fmt.Sprintf("%d", r.Reads)}
+// formatTransitions renders the applied fault-transition log.
+func formatTransitions(transitions []string) string {
+	var b strings.Builder
+	b.WriteString("fault transitions:\n")
+	for _, tr := range transitions {
+		fmt.Fprintf(&b, "  %s\n", tr)
 	}
-	return table("Ablation: divergence vs replication lag (workload A-Latest)",
-		[]string{"replication delay", "divergence %", "reads"}, out)
+	return b.String()
 }
 
-// FormatAblationFlush renders the preliminary-flushing cost ablation.
-func FormatAblationFlush(rows []AblationFlushRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{fmt.Sprintf("%v", r.FlushCost),
+// FormatAblations renders both ablation tables.
+func FormatAblations(res AblationResult) string {
+	lag := make([][]string, len(res.ReplicationLag))
+	for i, r := range res.ReplicationLag {
+		lag[i] = []string{fmt.Sprintf("%v", r.ReplicationDelay),
+			fmt.Sprintf("%.1f", r.DivergencePct), fmt.Sprintf("%d", r.Reads)}
+	}
+	flush := make([][]string, len(res.FlushCost))
+	for i, r := range res.FlushCost {
+		flush[i] = []string{fmt.Sprintf("%v", r.FlushCost),
 			fmt.Sprintf("%.0f", r.Throughput), fmt.Sprintf("%.1f%%", r.DropPct)}
 	}
-	return table("Ablation: CC throughput vs preliminary-flushing cost",
-		[]string{"flush cost", "ops/s", "drop vs zero"}, out)
+	return table("Ablation: divergence vs replication lag (workload A-Latest)",
+		[]string{"replication delay", "divergence %", "reads"}, lag) +
+		table("Ablation: CC throughput vs preliminary-flushing cost",
+			[]string{"flush cost", "ops/s", "drop vs zero"}, flush)
 }
 
 // FormatFig12 renders Figure 12's summaries plus a bucketed series.
-func FormatFig12(points []Fig12Point, summaries []Fig12Summary) string {
+func FormatFig12(res Fig12Result) string {
 	var out [][]string
-	for _, s := range summaries {
+	for _, s := range res.Summaries {
 		out = append(out, []string{s.System, "fast (preliminary)",
 			fmt.Sprintf("%d", s.FastCount), fmt.Sprintf("%.1f", metrics.Ms(s.FastAvg))})
 		out = append(out, []string{s.System, "slow (final)",
@@ -265,10 +229,10 @@ func FormatFig12(points []Fig12Point, summaries []Fig12Summary) string {
 	counts := map[string][]int{}
 	const nb = 10
 	total := map[string]int{}
-	for _, p := range points {
+	for _, p := range res.Points {
 		total[p.System]++
 	}
-	for _, p := range points {
+	for _, p := range res.Points {
 		n := total[p.System]
 		if n == 0 {
 			continue
@@ -306,9 +270,10 @@ func FormatFig12(points []Fig12Point, summaries []Fig12Summary) string {
 	return summary + table("Figure 12 series: avg latency (ms) by decile of selling order", header, series)
 }
 
-// FormatOverload renders the overload experiment: one per-phase table per
-// mode, the metastability verdict, and each mode's history-check summary.
-func FormatOverload(res *OverloadResult) string {
+// Text implements Report: one per-phase table per mode with its latency
+// decomposition (traced runs) and history-check summary, then the
+// metastability verdict.
+func (res *OverloadResult) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Overload: metastable retry storm vs admission-controlled escape ==\n")
 	fmt.Fprintf(&b, "offered %.0f ops/s baseline + %.0f ops/s burst, capacity ~%.0f ops/s, op timeout %.0f ms, %d sessions\n",
@@ -332,18 +297,7 @@ func FormatOverload(res *OverloadResult) string {
 		b.WriteString(formatDecomp(m.Decomp))
 		fmt.Fprintf(&b, "post-burst goodput: %.0f%% of baseline; recovered phase: %.0f%%\n",
 			m.PostBurstGoodputPct, m.RecoveredGoodputPct)
-		if c := m.Check; c != nil {
-			fmt.Fprintf(&b, "history check: %d sessions, %d ops, sha256 %.12s…",
-				c.Clients, c.Ops, c.HistoryDigest)
-			if n := c.Violations(); n == 0 {
-				b.WriteString(" — session guarantees + cross-object WFR: OK\n")
-			} else {
-				fmt.Fprintf(&b, " — %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-				for _, v := range c.SessionViolations {
-					fmt.Fprintf(&b, "  %s\n", v)
-				}
-			}
-		}
+		b.WriteString(m.Check.Text("consistency check", res.Seed))
 	}
 	off, on := res.Modes[0], res.Modes[1]
 	fmt.Fprintf(&b, "metastable asymmetry: without shedding %.0f%%, with shedding %.0f%% post-burst goodput\n",
@@ -351,9 +305,9 @@ func FormatOverload(res *OverloadResult) string {
 	return b.String()
 }
 
-// FormatCapacity renders the shard-count capacity study: the per-cell
-// table, the scaling headline, and each cell's history-check summary.
-func FormatCapacity(res *CapacityResult) string {
+// Text implements Report: the per-cell table, the scaling headline, and
+// each cell's history-check summary.
+func (res *CapacityResult) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "horizon %.0f ms per cell, seed %d\n", res.HorizonMs, res.Seed)
 	out := make([][]string, len(res.Rows))
@@ -374,26 +328,13 @@ func FormatCapacity(res *CapacityResult) string {
 	fmt.Fprintf(&b, "scaling: %.2fx ops throughput from %d to %d shards\n",
 		res.ScalingX, res.Rows[0].Shards, res.Rows[len(res.Rows)-1].Shards)
 	for _, r := range res.Rows {
-		if c := r.Check; c != nil {
-			fmt.Fprintf(&b, "check shards=%d: %d sessions, %d ops, sha256 %.12s…", r.Shards, c.Clients, c.Ops, c.HistoryDigest)
-			if n := c.Violations(); n == 0 {
-				b.WriteString(" — session guarantees + register linearizability: OK\n")
-			} else {
-				fmt.Fprintf(&b, " — %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-				for _, v := range c.SessionViolations {
-					fmt.Fprintf(&b, "  %s\n", v)
-				}
-				for _, v := range c.LinViolations {
-					fmt.Fprintf(&b, "  %s\n", v)
-				}
-			}
-		}
+		b.WriteString(r.Check.Text(fmt.Sprintf("consistency check (shards=%d)", r.Shards), res.Seed))
 	}
 	return b.String()
 }
 
-// FormatSweep renders the quorum x geography sweep table.
-func FormatSweep(res *SweepResult) string {
+// Text implements Report: the quorum x geography sweep table.
+func (res *SweepResult) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload %s, %d threads, %.0f ms per cell, seed %d\n",
 		res.Workload, res.Threads, res.DurationMs, res.Seed)

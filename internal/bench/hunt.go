@@ -21,6 +21,7 @@ import (
 	"correctables/internal/history"
 	"correctables/internal/load"
 	"correctables/internal/netsim"
+	"correctables/internal/trace"
 )
 
 // The hunt world's fixed shape. Every knob that varies lives in huntWorld
@@ -77,7 +78,7 @@ type HuntFinding struct {
 	Repro *HuntRepro `json:"repro"`
 }
 
-// HuntResult is the hunt's full output; it marshals to JSON via HuntJSON.
+// HuntResult is the hunt's full output (the -json artifact).
 type HuntResult struct {
 	Profiles     []string      `json:"profiles"`
 	Seeds        int           `json:"seeds"`
@@ -89,6 +90,12 @@ type HuntResult struct {
 	Inconclusive int           `json:"inconclusive_runs"`
 	Findings     []HuntFinding `json:"findings"`
 }
+
+// Violations implements Report: one per violating world.
+func (res *HuntResult) Violations() int { return len(res.Findings) }
+
+// Tracer implements Report: hunt worlds are never traced.
+func (res *HuntResult) Tracer() (*trace.Tracer, *trace.Registry) { return nil, nil }
 
 // huntWorld is one self-contained simulated world: a pure function of its
 // fields. The sweep generates worlds from (profile, seed); the minimizer
@@ -579,11 +586,6 @@ func worldOf(r *HuntRepro) (huntWorld, error) {
 	return w, nil
 }
 
-// HuntReproJSON marshals a repro for archiving.
-func HuntReproJSON(r *HuntRepro) ([]byte, error) {
-	return marshalReport(r)
-}
-
 // ParseHuntRepro parses an archived repro.
 func ParseHuntRepro(data []byte) (*HuntRepro, error) {
 	r := &HuntRepro{}
@@ -728,8 +730,8 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 	return res, nil
 }
 
-// FormatHunt renders a hunt result as the icgbench table.
-func FormatHunt(res *HuntResult) string {
+// Text implements Report: the hunt summary and each finding's shrink.
+func (res *HuntResult) Text() string {
 	var b strings.Builder
 	planted := ""
 	if res.Planted {
@@ -758,9 +760,4 @@ func FormatHunt(res *HuntResult) string {
 		}
 	}
 	return b.String()
-}
-
-// HuntJSON marshals a hunt result for -fault-json.
-func HuntJSON(res *HuntResult) ([]byte, error) {
-	return marshalReport(res)
 }

@@ -79,15 +79,10 @@ type OverloadMode struct {
 	// deliberately not checked here: the measured keyspace is shared with
 	// unrecorded background writers, so it is not a closed world.
 	Check *CheckReport `json:"check"`
-	// Decomp and Timeseries are the observability plane's output
-	// (Config.Trace runs only). The decomposition makes the storm legible:
-	// the queue column explodes in the storm phase with shedding off and
-	// the admission column replaces it with shedding on.
-	Decomp     []PhaseDecomp      `json:"latency_decomposition,omitempty"`
-	Timeseries []trace.TimeSeries `json:"timeseries,omitempty"`
-
-	trc *trace.Tracer
-	reg *trace.Registry
+	// Traced's decomposition makes the storm legible: the queue column
+	// explodes in the storm phase with shedding off and the admission
+	// column replaces it with shedding on.
+	Traced
 }
 
 // OverloadResult is the overload experiment's full output; it marshals
@@ -106,17 +101,22 @@ type OverloadResult struct {
 	Sessions    int            `json:"sessions"`
 	Seed        int64          `json:"seed"`
 	Modes       []OverloadMode `json:"modes"`
-	// Trace and TraceReg carry the shedding-on mode's tracer for Chrome
-	// export (icgbench -trace): the mode whose spans include the full
-	// admission story (rejects, degrades, backoff windows).
-	Trace    *trace.Tracer   `json:"-"`
-	TraceReg *trace.Registry `json:"-"`
 }
 
-// overloadPhase is one window of the scenario timeline.
-type overloadPhase struct {
-	name       string
-	start, end time.Duration
+// Violations implements Report: both modes' history checks.
+func (res *OverloadResult) Violations() int {
+	n := 0
+	for _, m := range res.Modes {
+		n += m.Check.Violations()
+	}
+	return n
+}
+
+// Tracer implements Report with the shedding-on mode's tracer (the last
+// mode): the mode whose spans include the full admission story (rejects,
+// degrades, backoff windows).
+func (res *OverloadResult) Tracer() (*trace.Tracer, *trace.Registry) {
+	return res.Modes[len(res.Modes)-1].Tracer()
 }
 
 // overloadOp is one measured operation's record.
@@ -130,7 +130,7 @@ type overloadOp struct {
 // the identical workload.
 type overloadParams struct {
 	unit      time.Duration
-	phases    []overloadPhase
+	phases    []faults.Phase
 	horizon   time.Duration
 	opTimeout time.Duration
 
@@ -148,11 +148,11 @@ func overloadParamsFor(cfg Config) overloadParams {
 	u := cfg.pickDur(time.Second, 300*time.Millisecond)
 	return overloadParams{
 		unit: u,
-		phases: []overloadPhase{
-			{"baseline", 0, 3 * u},
-			{"burst", 3 * u, 5 * u},
-			{"storm", 5 * u, 9 * u},
-			{"recovered", 9 * u, 12 * u},
+		phases: []faults.Phase{
+			{Name: "baseline", Start: 0, End: 3 * u},
+			{Name: "burst", Start: 3 * u, End: 5 * u},
+			{Name: "storm", Start: 5 * u, End: 9 * u},
+			{Name: "recovered", Start: 9 * u, End: 12 * u},
 		},
 		horizon: 12 * u,
 		// The per-attempt timeout is the storm's trigger: once the
@@ -206,9 +206,6 @@ func Overload(cfg Config) (*OverloadResult, error) {
 			return nil, err
 		}
 		res.Modes = append(res.Modes, *mode)
-		if mode.trc != nil {
-			res.Trace, res.TraceReg = mode.trc, mode.reg
-		}
 	}
 	return res, nil
 }
@@ -293,7 +290,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	}
 	for i, ph := range p.phases {
 		i := i
-		h.clock.RunAt(ph.end, func() { probes[i] = snapLoad() })
+		h.clock.RunAt(ph.End, func() { probes[i] = snapLoad() })
 	}
 
 	g := h.clock.NewGroup()
@@ -384,13 +381,13 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 		})
 	}
 	load.Start(h.clock, load.NewPoisson(p.baselineRate, cfg.Seed+11), p.horizon, fire)
-	burstStart := p.phases[1].start
-	burstLen := p.phases[1].end - p.phases[1].start
+	burstStart := p.phases[1].Start
+	burstLen := p.phases[1].End - p.phases[1].Start
 	h.clock.RunAt(burstStart, func() {
 		// OnOff with one on-window inside the horizon: the burst, then
 		// silence — the recovery question is what happens after its edge.
 		load.Start(h.clock, load.NewOnOff(p.burstRate, burstLen, p.horizon, cfg.Seed+13),
-			p.phases[1].end, fire)
+			p.phases[1].End, fire)
 	})
 
 	g.Wait()
@@ -410,11 +407,11 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 
 	// Bucket records into phases: completions by start, failures by end.
 	for i, ph := range p.phases {
-		row := OverloadRow{Phase: ph.name, StartMs: metrics.Ms(ph.start), EndMs: metrics.Ms(ph.end)}
+		row := OverloadRow{Phase: ph.Name, StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End)}
 		final := metrics.NewHistogram()
 		for _, rec := range records {
 			if rec.err == nil {
-				if overloadPhaseOf(p.phases, rec.start) != i {
+				if phaseOf(p.phases, rec.start) != i {
 					continue
 				}
 				row.Completed++
@@ -422,7 +419,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 				if rec.degraded {
 					row.Degraded++
 				}
-			} else if overloadPhaseOf(p.phases, rec.end) == i {
+			} else if phaseOf(p.phases, rec.end) == i {
 				switch {
 				case errors.Is(rec.err, load.ErrRejected):
 					row.RejectedOps++
@@ -434,7 +431,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 			}
 		}
 		for _, rec := range records {
-			if overloadPhaseOf(p.phases, rec.start) == i {
+			if phaseOf(p.phases, rec.start) == i {
 				row.Offered++
 			}
 		}
@@ -445,7 +442,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 		row.Rejected = probes[i].rejected - prev.rejected
 		row.Shed = probes[i].shed - prev.shed
 		row.Retried = probes[i].retried - prev.retried
-		row.GoodputOps = float64(row.Completed) / (ph.end - ph.start).Seconds()
+		row.GoodputOps = float64(row.Completed) / (ph.End - ph.Start).Seconds()
 		row.FinalMeanMs = metrics.Ms(final.Mean())
 		row.FinalP99Ms = metrics.Ms(final.Percentile(99))
 		mode.Rows = append(mode.Rows, row)
@@ -462,13 +459,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	}
 	mode.RecoveredGoodputPct = mode.Rows[3].GoodputPct
 
-	if h.trc != nil {
-		for _, ph := range p.phases {
-			mode.Decomp = append(mode.Decomp, decompRow(h.trc, ph.name, ph.start, ph.end))
-		}
-		mode.Timeseries = h.reg.Series()
-		mode.trc, mode.reg = h.trc, h.reg
-	}
+	mode.Traced = h.observe(p.phases)
 
 	// The always-on history check, with the default checker set (session
 	// guarantees, cross-object WFR, causal-cut).
@@ -477,19 +468,3 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 }
 
 func overloadKey(i int) string { return fmt.Sprintf("ovl-%03d", i) }
-
-// overloadPhaseOf maps a model instant into its phase (clamping past the
-// horizon into the last phase, for ops that die during the drain).
-func overloadPhaseOf(phases []overloadPhase, at time.Duration) int {
-	for i, ph := range phases {
-		if at < ph.end {
-			return i
-		}
-	}
-	return len(phases) - 1
-}
-
-// OverloadJSON marshals a result for BENCH_overload.json.
-func OverloadJSON(res *OverloadResult) ([]byte, error) {
-	return marshalReport(res)
-}

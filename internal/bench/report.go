@@ -8,16 +8,29 @@ import (
 	"correctables/internal/trace"
 )
 
+// Report is the one contract every experiment result satisfies, so one
+// loop in cmd/icgbench prints, exports and gates them all. The result
+// value itself is the experiment's JSON artifact (WriteReport marshals
+// it); Text is its printed table; Violations counts what its history
+// checks found (0 for unchecked experiments); Tracer returns the span
+// tracer and gauge registry it recorded, both nil when the run was
+// untraced.
+type Report interface {
+	Text() string
+	Violations() int
+	Tracer() (*trace.Tracer, *trace.Registry)
+}
+
 // marshalReport is the one JSON encoding every experiment artifact goes
-// through (BENCH_*.json, hunt repros, trace sidecars): two-space indent,
-// stable field order from the result structs. The per-experiment *JSON
-// functions are thin wrappers kept for API stability.
+// through (BENCH_*.json, hunt repros): two-space indent, stable field
+// order from the result structs.
 func marshalReport(v any) ([]byte, error) {
 	return json.MarshalIndent(v, "", "  ")
 }
 
-// WriteReport marshals an experiment result and writes it to path with a
-// trailing newline — the shared writer behind every -fault-json artifact.
+// WriteReport marshals an experiment result (or a hunt repro) and writes
+// it to path with a trailing newline — the shared writer behind every
+// -json artifact.
 func WriteReport(path string, v any) error {
 	data, err := marshalReport(v)
 	if err != nil {
@@ -42,6 +55,47 @@ func WriteTrace(path string, trc *trace.Tracer, reg *trace.Registry) error {
 	return f.Close()
 }
 
+// Table adapts a result with no checks and no tracer — a paper figure or
+// the ablations — to Report: Data is the JSON artifact and render prints
+// it.
+type Table[T any] struct {
+	Data   T
+	render func(T) string
+}
+
+// NewTable pairs a figure's result with its renderer.
+func NewTable[T any](data T, render func(T) string) Table[T] {
+	return Table[T]{Data: data, render: render}
+}
+
+// Text implements Report.
+func (t Table[T]) Text() string { return t.render(t.Data) }
+
+// Violations implements Report: figures run no history checks.
+func (Table[T]) Violations() int { return 0 }
+
+// Tracer implements Report: figures are never traced.
+func (Table[T]) Tracer() (*trace.Tracer, *trace.Registry) { return nil, nil }
+
+// MarshalJSON marshals the data alone.
+func (t Table[T]) MarshalJSON() ([]byte, error) { return json.Marshal(t.Data) }
+
+// Traced is the observability plane's output (Config.Trace runs only),
+// embedded in every traced result: the per-phase latency decomposition
+// from the span tracer and the registry's sampled gauges. The tracer and
+// registry themselves do not marshal; Tracer hands them to the Chrome
+// trace export (icgbench -trace).
+type Traced struct {
+	Decomp     []PhaseDecomp      `json:"latency_decomposition,omitempty"`
+	Timeseries []trace.TimeSeries `json:"timeseries,omitempty"`
+
+	trc *trace.Tracer
+	reg *trace.Registry
+}
+
+// Tracer implements Report.
+func (t *Traced) Tracer() (*trace.Tracer, *trace.Registry) { return t.trc, t.reg }
+
 // PhaseDecomp is one phase's latency decomposition: model time accumulated
 // per span category inside the phase window. Categories overlap by
 // construction (a quorum wait covers its peers' net and server spans), so
@@ -65,7 +119,7 @@ type PhaseDecomp struct {
 }
 
 // decompRow clips the tracer's spans to [start, end) and folds the
-// category totals into one report row. Returns a zero row on a nil tracer.
+// category totals into one report row.
 func decompRow(trc *trace.Tracer, phase string, start, end time.Duration) PhaseDecomp {
 	tt := trc.CategoryTotals(start, end)
 	return PhaseDecomp{

@@ -5,6 +5,7 @@ import (
 
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
+	"correctables/internal/trace"
 	"correctables/internal/ycsb"
 )
 
@@ -47,6 +48,12 @@ type SweepResult struct {
 	Seed        int64      `json:"seed"`
 	Rows        []SweepRow `json:"rows"`
 }
+
+// Violations implements Report: the sweep runs no history checks.
+func (res *SweepResult) Violations() int { return 0 }
+
+// Tracer implements Report: the sweep is never traced.
+func (res *SweepResult) Tracer() (*trace.Tracer, *trace.Registry) { return nil, nil }
 
 // sweepGeographies returns the RTT geometries, scaling the paper's measured
 // EC2 model: x0.25 compresses FRK/IRL/VRG to metro-area distances, x1 is the
@@ -137,9 +144,4 @@ func Sweep(cfg Config) *SweepResult {
 		cell("paper", 1, 2, shards)
 	}
 	return res
-}
-
-// SweepJSON renders the sweep table as indented JSON.
-func SweepJSON(res *SweepResult) ([]byte, error) {
-	return marshalReport(res)
 }

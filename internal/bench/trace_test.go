@@ -14,11 +14,12 @@ func tracedFaultStudy(t *testing.T, seed int64) (*FaultStudyResult, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
+	trc, reg := res.Tracer()
+	if trc == nil {
 		t.Fatal("Config.Trace run returned no tracer")
 	}
 	var buf bytes.Buffer
-	if err := res.Trace.WriteChrome(&buf, res.TraceReg); err != nil {
+	if err := trc.WriteChrome(&buf, reg); err != nil {
 		t.Fatal(err)
 	}
 	return res, buf.Bytes()

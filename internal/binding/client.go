@@ -133,9 +133,6 @@ func NewClient(b Binding, opts ...Option) *Client {
 // Binding returns the underlying binding.
 func (c *Client) Binding() Binding { return c.b }
 
-// Label returns the client's observer label.
-func (c *Client) Label() string { return c.label }
-
 // OpTimeout returns the per-operation model-time bound an invocation
 // issued now would run under (0 = unbounded): the WithOpTimeout override
 // when given, the binding's current default otherwise. The binding default

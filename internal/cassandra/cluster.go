@@ -298,9 +298,6 @@ func (c *Cluster) Regions() []netsim.Region {
 	return append([]netsim.Region(nil), c.order...)
 }
 
-// ReplicationFactor returns the number of replicas.
-func (c *Cluster) ReplicationFactor() int { return len(c.order) }
-
 // nextTS issues a cluster-wide monotonically increasing write timestamp.
 // Real Cassandra uses client wall clocks; a logical counter gives the same
 // last-write-wins semantics deterministically.

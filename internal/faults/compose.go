@@ -144,10 +144,10 @@ type TrackJSON struct {
 	Events []EventJSON `json:"events"`
 }
 
-// MarshalEvent converts a schedule entry to its wire form. Internal
+// marshalEvent converts a schedule entry to its wire form. Internal
 // transitions (expiries, quiesce) never appear in a Schedule and are
 // rejected.
-func MarshalEvent(te TimedEvent) (EventJSON, error) {
+func marshalEvent(te TimedEvent) (EventJSON, error) {
 	ej := EventJSON{AtNs: int64(te.At)}
 	switch ev := te.Event.(type) {
 	case Partition:
@@ -185,8 +185,8 @@ func MarshalEvent(te TimedEvent) (EventJSON, error) {
 	return ej, nil
 }
 
-// UnmarshalEvent is the inverse of MarshalEvent.
-func UnmarshalEvent(ej EventJSON) (TimedEvent, error) {
+// unmarshalEvent is the inverse of marshalEvent.
+func unmarshalEvent(ej EventJSON) (TimedEvent, error) {
 	te := TimedEvent{At: time.Duration(ej.AtNs)}
 	switch ej.Kind {
 	case "partition":
@@ -224,7 +224,7 @@ func MarshalTrack(t Track) (TrackJSON, error) {
 		return tj, nil
 	}
 	for _, te := range t.Schedule.Events() {
-		ej, err := MarshalEvent(te)
+		ej, err := marshalEvent(te)
 		if err != nil {
 			return TrackJSON{}, fmt.Errorf("track %s: %w", t.Name, err)
 		}
@@ -237,7 +237,7 @@ func MarshalTrack(t Track) (TrackJSON, error) {
 func UnmarshalTrack(tj TrackJSON) (Track, error) {
 	s := NewSchedule()
 	for _, ej := range tj.Events {
-		te, err := UnmarshalEvent(ej)
+		te, err := unmarshalEvent(ej)
 		if err != nil {
 			return Track{}, fmt.Errorf("track %s: %w", tj.Name, err)
 		}

@@ -203,8 +203,8 @@ func TestTrackJSONRoundTrip(t *testing.T) {
 	if p, ok := back.Schedule.Events()[0].Event.(Partition); !ok || p.ID != 3 {
 		t.Fatalf("partition ID lost in round trip: %+v", back.Schedule.Events()[0].Event)
 	}
-	if _, err := UnmarshalEvent(EventJSON{Kind: "nope"}); err == nil {
-		t.Error("UnmarshalEvent accepts unknown kind")
+	if _, err := unmarshalEvent(EventJSON{Kind: "nope"}); err == nil {
+		t.Error("unmarshalEvent accepts unknown kind")
 	}
 }
 

@@ -60,8 +60,8 @@ func ProfileHarsh(unit time.Duration) Profile {
 	}
 }
 
-// ProfileByName resolves "mild" or "harsh".
-func ProfileByName(name string, unit time.Duration) (Profile, error) {
+// profileByName resolves "mild" or "harsh".
+func profileByName(name string, unit time.Duration) (Profile, error) {
 	switch name {
 	case "mild":
 		return ProfileMild(unit), nil
@@ -128,7 +128,7 @@ func ProfilesByName(name string, unit time.Duration) ([]Profile, error) {
 			trackProfile("wan", unit, 2*unit, 3*unit),
 		}, nil
 	default:
-		p, err := ProfileByName(name, unit)
+		p, err := profileByName(name, unit)
 		if err != nil {
 			return nil, fmt.Errorf("faults: unknown profile %q (have %s)", name, strings.Join(ProfileNames(), ", "))
 		}

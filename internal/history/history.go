@@ -216,13 +216,6 @@ func (r *Recorder) OpEnd(op binding.OpInfo, at time.Duration, err error) {
 	r.mu.Unlock()
 }
 
-// Len returns the number of recorded operations.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ops)
-}
-
 // Ops returns a deep copy of the recorded operations in a deterministic
 // order: by start time, then client, then per-client sequence number.
 // (The raw append order is already deterministic under a VirtualClock;

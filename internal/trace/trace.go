@@ -75,15 +75,6 @@ func (c Category) String() string {
 	return "unknown"
 }
 
-// Categories lists every category in declaration order.
-func Categories() []Category {
-	out := make([]Category, numCategories)
-	for i := range out {
-		out[i] = Category(i)
-	}
-	return out
-}
-
 // Track identifies a named timeline (a Perfetto "process"): one per
 // client, per server, per link pair. Zero is the nil track.
 type Track int32

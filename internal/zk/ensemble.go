@@ -94,9 +94,6 @@ type Server struct {
 // CZK simulations.
 func (s *Server) Tree() *Tree { return s.tree }
 
-// IsLeader reports whether this server is the ensemble leader.
-func (s *Server) IsLeader() bool { return s.ensemble.Leader() == s }
-
 // LastApplied returns the highest zxid applied locally.
 func (s *Server) LastApplied() uint64 {
 	s.mu.Lock()
@@ -271,7 +268,7 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 }
 
 // accept records a proposal in the server's accept log (elections enabled
-// only); called on the follower leg of Propose before the ack travels back,
+// only); called on the follower leg of propose before the ack travels back,
 // so a counted ack always implies a recorded accept.
 func (s *Server) accept(zxid, epoch uint64, txn Txn) {
 	s.mu.Lock()
@@ -442,23 +439,17 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 	return res
 }
 
-// Propose runs txn through the ordered-commit protocol on behalf of a
+// propose runs txn through the ordered-commit protocol on behalf of a
 // request that has already reached the leader (the caller models the
-// contact->leader hop). It returns the transaction's zxid and result after
-// a majority has acknowledged. Commits propagate to followers
+// contact->leader hop). It returns the transaction's zxid, the commit epoch
+// it was ordered under (which epoch-aware delivery paths need) and its
+// result after a majority has acknowledged. Commits propagate to followers
 // asynchronously except the contact server's own commit, which the caller
 // delivers synchronously with DeliverCommit (modeling the single
 // commit+reply message on that link).
 //
 // Fail-fast validation errors (bad version, missing node) return with
 // zxid 0 and no broadcast, like ZooKeeper's prep processor.
-func (e *Ensemble) Propose(txn Txn, contact *Server) (uint64, TxnResult) {
-	zxid, _, res := e.propose(txn, contact)
-	return zxid, res
-}
-
-// propose is Propose plus the commit epoch the transaction was ordered
-// under, which epoch-aware delivery paths need.
 func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult) {
 	leader := e.Leader()
 	leader.proc.Process(e.cfg.ServiceTime)

@@ -69,8 +69,6 @@ type Txn interface {
 	Apply(t *Tree) TxnResult
 	// PayloadSize is the wire footprint of the transaction body.
 	PayloadSize() int
-	// TxnName names the transaction type for diagnostics.
-	TxnName() string
 }
 
 // CreateTxn creates a znode (optionally sequential; a non-empty Owner makes
@@ -91,9 +89,6 @@ func (x CreateTxn) Apply(t *Tree) TxnResult {
 // PayloadSize implements Txn.
 func (x CreateTxn) PayloadSize() int { return len(x.Path) + len(x.Data) }
 
-// TxnName implements Txn.
-func (x CreateTxn) TxnName() string { return "create" }
-
 // DeleteTxn removes a znode, optionally guarded by a version.
 type DeleteTxn struct {
 	Path    string
@@ -107,9 +102,6 @@ func (x DeleteTxn) Apply(t *Tree) TxnResult {
 
 // PayloadSize implements Txn.
 func (x DeleteTxn) PayloadSize() int { return len(x.Path) + 4 }
-
-// TxnName implements Txn.
-func (x DeleteTxn) TxnName() string { return "delete" }
 
 // SetDataTxn replaces a znode's data.
 type SetDataTxn struct {
@@ -125,9 +117,6 @@ func (x SetDataTxn) Apply(t *Tree) TxnResult {
 
 // PayloadSize implements Txn.
 func (x SetDataTxn) PayloadSize() int { return len(x.Path) + len(x.Data) + 4 }
-
-// TxnName implements Txn.
-func (x SetDataTxn) TxnName() string { return "setData" }
 
 // DequeueMinTxn atomically removes the head (smallest sequential child) of
 // a queue directory and returns it. This is the CZK server-side dequeue:
@@ -158,9 +147,6 @@ func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
 // PayloadSize implements Txn.
 func (x DequeueMinTxn) PayloadSize() int { return len(x.Dir) }
 
-// TxnName implements Txn.
-func (x DequeueMinTxn) TxnName() string { return "dequeueMin" }
-
 // CloseSessionTxn removes every ephemeral znode owned by a session — the
 // replicated half of session teardown/expiry.
 type CloseSessionTxn struct {
@@ -175,9 +161,6 @@ func (x CloseSessionTxn) Apply(t *Tree) TxnResult {
 
 // PayloadSize implements Txn.
 func (x CloseSessionTxn) PayloadSize() int { return len(x.SessionID) }
-
-// TxnName implements Txn.
-func (x CloseSessionTxn) TxnName() string { return "closeSession" }
 
 // failsFast reports whether a failed prep-time validation should abort the
 // transaction without committing (ZooKeeper returns BadVersion/NoNode
