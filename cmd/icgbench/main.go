@@ -18,10 +18,10 @@
 //	icgbench -exp fig6 -clock=wall -scale .5 # real-time-ish demo run
 //
 // Beyond the paper's figures: ablations; faultstudy — YCSB under a
-// deterministic fault schedule (-faults selects the scenario, -fault-log
-// prints the transition log); failover — leader partition and recovery;
-// overload — metastable retry storm vs admission control; sweep — quorum x
-// geography; capacity — the sharded-plane capacity study (open-loop session
+// deterministic fault schedule (-faults selects the scenario; the report
+// prints the applied transition log); failover — leader partition and
+// recovery; overload — metastable retry storm vs admission control; sweep —
+// quorum x geography; capacity — the sharded-plane capacity study (open-loop session
 // storms vs shard count, a million sessions on one virtual clock at full
 // size); and hunt — the nemesis hunt: a sweep of seeds x composed
 // fault-track profiles, every recorded history run through every checker,
@@ -47,7 +47,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"time"
 
@@ -83,10 +82,7 @@ var experiments = []experiment{
 	{"faultstudy", "YCSB under a deterministic fault schedule (-faults, -check)", false, true,
 		func(c bench.Config) (bench.Report, error) { return bench.FaultStudy(c) }},
 	{"failover", "leader partition mid-run: recovery time and availability window", false, true,
-		func(c bench.Config) (bench.Report, error) {
-			c.Check = true // the failover always verifies its history
-			return bench.Failover(c)
-		}},
+		func(c bench.Config) (bench.Report, error) { return bench.Failover(c) }},
 	{"overload", "open-loop burst: metastable retry storm vs admission control", false, true,
 		func(c bench.Config) (bench.Report, error) { return bench.Overload(c) }},
 	{"sweep", "read latency vs quorum size and RTT geography", false, false,
@@ -234,9 +230,6 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			"fault scenario for -exp faultstudy: one of "+strings.Join(faults.ScenarioNames(), ", ")+
 				", or '<seed>:<profile>' (profiles: "+strings.Join(faults.ProfileNames(), ", ")+
 				") for a replayable random schedule; default minority-partition")
-		faultLog = fs.Bool("fault-log", false, "print the applied fault-transition log with the fault study")
-		sweep    = fs.Bool("sweep", false,
-			"also run the quorum x geography parameter sweep (shorthand for adding 'sweep' to -exp)")
 		check = fs.Bool("check", false,
 			"faultstudy: run a consistency-checked session population alongside the measured one and verify its "+
 				"recorded history (session guarantees + per-key linearizability); exit nonzero on any violation")
@@ -291,9 +284,6 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			names = append(names, name)
 		}
 	}
-	if *sweep && !slices.Contains(names, "sweep") {
-		names = append(names, "sweep")
-	}
 	if (*jsonOut != "" || *traceOut != "") && len(names) > 1 {
 		fmt.Fprintf(stderr, "icgbench: -json and -trace write one experiment's artifact; %d experiments selected (%s)\n",
 			len(names), strings.Join(names, ", "))
@@ -307,7 +297,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	cfg := bench.Config{Wall: wall, Scale: *scale, Seed: *seed, Quick: *quick,
-		Faults: *faultSpec, FaultLog: *faultLog, Check: *check, Trace: *traceOut != ""}
+		Faults: *faultSpec, Check: *check, Trace: *traceOut != ""}
 
 	for _, name := range names {
 		e, _ := expByName(name)

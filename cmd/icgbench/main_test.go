@@ -110,7 +110,6 @@ func TestArtifactsNeedOneExperiment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	for _, args := range [][]string{
 		{"-exp", "fig5,fig6", "-quick", "-json", path},
-		{"-exp", "faultstudy", "-sweep", "-quick", "-json", path},
 		{"-exp", "faultstudy,failover", "-quick", "-trace", path},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -53,19 +53,19 @@ func ablationReplicationLag(cfg Config) []AblationLagRow {
 
 	var rows []AblationLagRow
 	for _, delay := range delays {
-		w := ycsb.WorkloadA(ycsb.DistLatest, 1000, 1024)
-		h := newHarness(cfg)
+		wl := ycsb.WorkloadA(ycsb.DistLatest, 1000, 1024)
+		w := newWorld(cfg)
 		d := delay
 		if d == 0 {
 			d = time.Nanosecond // Config treats 0 as "use default"
 		}
-		cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, replicationDelay: d})
-		preloadDataset(cluster, w)
-		results := runGroups(cluster, w, 2, true, threadsTotal/3, ycsb.Options{
+		cluster := w.newCassandra(cassandraOpts{correctable: true, replicationDelay: d})
+		preloadDataset(cluster, wl)
+		results := w.runGroups(cluster, wl, 2, true, threadsTotal/3, ycsb.Options{
 			Duration: dur,
 			Seed:     cfg.Seed,
 		})
-		h.drain()
+		w.finish()
 		var diverged, prelims int64
 		for _, r := range results {
 			diverged += r.Diverged
@@ -108,15 +108,15 @@ func ablationFlushCost(cfg Config) []AblationFlushRow {
 	var rows []AblationFlushRow
 	var baseline float64
 	for _, cost := range costs {
-		w := ycsb.WorkloadC(ycsb.DistZipfian, 1000, 1024)
-		h := newHarness(cfg)
-		cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, flushCost: cost})
-		preloadDataset(cluster, w)
-		results := runGroups(cluster, w, 2, true, threadsTotal/3, ycsb.Options{
+		wl := ycsb.WorkloadC(ycsb.DistZipfian, 1000, 1024)
+		w := newWorld(cfg)
+		cluster := w.newCassandra(cassandraOpts{correctable: true, flushCost: cost})
+		preloadDataset(cluster, wl)
+		results := w.runGroups(cluster, wl, 2, true, threadsTotal/3, ycsb.Options{
 			Duration: dur,
 			Seed:     cfg.Seed,
 		})
-		h.drain()
+		w.finish()
 		var tp float64
 		for _, r := range results {
 			tp += r.ThroughputOps

@@ -1,8 +1,10 @@
 // Package bench contains one driver per table/figure of the paper's
 // evaluation (§6). Each driver sets up the simulated deployment the paper
 // used, runs the experiment, and returns typed rows whose shape mirrors the
-// corresponding figure; cmd/icgbench prints them and EXPERIMENTS.md records
-// paper-vs-measured values.
+// corresponding figure; cmd/icgbench prints them and writes them as JSON
+// artifacts (the committed BENCH_*.json files are recorded baselines).
+// Every driver runs on a world (world.go): one simulated deployment that
+// owns the fabric, faults, recorder, gates, lifecycle and phase ledger.
 //
 // All drivers take a Config controlling the time scale (latencies are
 // always reported in model time, i.e. on the paper's axes) and a Quick flag
@@ -13,9 +15,7 @@ import (
 	"time"
 
 	"correctables/internal/cassandra"
-	"correctables/internal/faults"
 	"correctables/internal/netsim"
-	"correctables/internal/trace"
 	"correctables/internal/zk"
 )
 
@@ -39,14 +39,11 @@ type Config struct {
 	// Empty means minority-partition. Only the faultstudy experiment reads
 	// it; the paper's figures always run fault-free.
 	Faults string
-	// FaultLog prints the applied fault transitions alongside the
-	// fault-study table.
-	FaultLog bool
 	// Check adds a consistency-checked session population to the fault
 	// study: its clients run through the session API with a history
 	// recorder attached, and the recorded history is verified after the
 	// run (session guarantees plus per-key register linearizability).
-	// faultstudy and failover read it; icgbench always checks failover.
+	// Only faultstudy reads it; the other checked experiments always check.
 	Check bool
 	// Trace attaches the model-time span tracer and time-series registry
 	// to the experiment fabric (faultstudy, failover, overload). The
@@ -80,86 +77,6 @@ func (c Config) pickDur(full, quick time.Duration) time.Duration {
 	return full
 }
 
-// harness bundles the per-experiment simulation fabric.
-type harness struct {
-	clock netsim.Clock
-	meter *netsim.Meter
-	tr    *netsim.Transport
-	// trc/reg are the observability plane (nil unless cfg.Trace): the
-	// span tracer is installed on the transport here and threaded into
-	// stores and clients by the individual drivers; gauges register on
-	// reg and sample on a model-time cadence via startSampling.
-	trc *trace.Tracer
-	reg *trace.Registry
-}
-
-func newHarness(cfg Config) *harness {
-	return newHarnessWith(cfg, netsim.DefaultLatencies())
-}
-
-// newHarnessWith builds the fabric on an explicit latency model — the sweep
-// experiment scales the paper's geography up and down; everything else runs
-// on the default model.
-func newHarnessWith(cfg Config, lat *netsim.LatencyModel) *harness {
-	var clock netsim.Clock
-	if cfg.Wall {
-		clock = netsim.NewClock(cfg.Scale)
-	} else {
-		clock = netsim.NewVirtualClock()
-	}
-	meter := netsim.NewMeter()
-	h := &harness{
-		clock: clock,
-		meter: meter,
-		tr:    netsim.NewTransport(clock, lat, meter, cfg.Seed+1),
-	}
-	if cfg.Trace {
-		h.trc = trace.New()
-		h.reg = trace.NewRegistry()
-		h.tr.SetTrace(h.trc)
-	}
-	return h
-}
-
-// startSampling arms the registry's self-rescheduling probe over the
-// experiment window at a horizon-relative cadence (64 samples per run,
-// floored at 1ms so quick runs don't sample sub-millisecond). No-op when
-// tracing is off.
-func (h *harness) startSampling(horizon time.Duration) {
-	if h.reg == nil {
-		return
-	}
-	every := horizon / 64
-	if every < time.Millisecond {
-		every = time.Millisecond
-	}
-	h.reg.Start(h.clock, every, horizon)
-}
-
-// observe folds the span tracer into one latency-decomposition row per
-// phase and collects the sampled gauges: the Traced block a result embeds.
-// Zero when tracing is off.
-func (h *harness) observe(phases []faults.Phase) Traced {
-	if h.trc == nil {
-		return Traced{}
-	}
-	t := Traced{trc: h.trc, reg: h.reg}
-	for _, ph := range phases {
-		t.Decomp = append(t.Decomp, decompRow(h.trc, ph.Name, ph.Start, ph.End))
-	}
-	t.Timeseries = h.reg.Series()
-	return t
-}
-
-// drain runs the harness's background traffic (async replication, commit
-// broadcasts) to completion after an experiment. Wall-clock harnesses just
-// let it finish in real time.
-func (h *harness) drain() {
-	if vc, ok := h.clock.(*netsim.VirtualClock); ok {
-		vc.Drain()
-	}
-}
-
 // cassandraOpts selects the store variant under test.
 type cassandraOpts struct {
 	regions     []netsim.Region
@@ -178,9 +95,9 @@ type cassandraOpts struct {
 	shards int
 }
 
-// newCassandra builds a cluster on the harness fabric with the service-time
+// newCassandra builds a cluster on the world's fabric with the service-time
 // model used across the Cassandra experiments.
-func (h *harness) newCassandra(cfg Config, opts cassandraOpts) *cassandra.Cluster {
+func (w *world) newCassandra(opts cassandraOpts) *cassandra.Cluster {
 	regions := opts.regions
 	if regions == nil {
 		regions = []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG}
@@ -191,7 +108,7 @@ func (h *harness) newCassandra(cfg Config, opts cassandraOpts) *cassandra.Cluste
 	}
 	cluster, err := cassandra.NewCluster(cassandra.Config{
 		Regions:          regions,
-		Transport:        h.tr,
+		Transport:        w.tr,
 		Correctable:      opts.correctable,
 		ConfirmationOpt:  opts.confirmOpt,
 		Shards:           opts.shards,
@@ -202,7 +119,7 @@ func (h *harness) newCassandra(cfg Config, opts cassandraOpts) *cassandra.Cluste
 		ReplicationDelay: opts.replicationDelay,
 		ReadRepairChance: 0.1,
 		OpTimeout:        opts.opTimeout,
-		Seed:             cfg.Seed,
+		Seed:             w.cfg.Seed,
 	})
 	if err != nil {
 		panic("bench: " + err.Error()) // static configuration; cannot fail
@@ -223,12 +140,12 @@ type zkOpts struct {
 	electionTimeout time.Duration
 }
 
-// newZK builds an ensemble on the harness fabric.
-func (h *harness) newZK(cfg Config, opts zkOpts) *zk.Ensemble {
+// newZK builds an ensemble on the world's fabric.
+func (w *world) newZK(opts zkOpts) *zk.Ensemble {
 	e, err := zk.NewEnsemble(zk.Config{
 		Regions:           []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG},
 		LeaderRegion:      opts.leader,
-		Transport:         h.tr,
+		Transport:         w.tr,
 		Correctable:       opts.correctable,
 		Workers:           4,
 		ServiceTime:       time.Millisecond,

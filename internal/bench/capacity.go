@@ -10,7 +10,6 @@ import (
 	"correctables/internal/binding"
 	"correctables/internal/cassandra"
 	"correctables/internal/core"
-	"correctables/internal/history"
 	"correctables/internal/load"
 	"correctables/internal/metrics"
 	"correctables/internal/trace"
@@ -139,11 +138,11 @@ func jainIndex(xs []int64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// capacityCell runs one shard-count cell on a fresh fabric.
+// capacityCell runs one shard-count cell on a fresh world.
 func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate float64) CapacityRow {
-	h := newHarness(cfg)
-	clock := h.clock
-	cluster := h.newCassandra(cfg, cassandraOpts{
+	w := newWorld(cfg)
+	clock := w.clock
+	cluster := w.newCassandra(cassandraOpts{
 		correctable: true,
 		confirmOpt:  true,
 		shards:      shards,
@@ -171,8 +170,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 	// global bucket sees all regions: rates are aggregate ops rates.
 	perRegionOps := capOpsPerSession * perRegionRate
 	aggregateOps := perRegionOps * float64(len(regions))
-	gate := load.NewController(load.Config{
-		Clock:          clock,
+	gate := w.gate(load.Config{
 		PerClientRate:  2 * perRegionOps,
 		PerClientBurst: perRegionOps / 2,
 		Sample: func() time.Duration {
@@ -195,9 +193,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		Threshold:   25 * time.Millisecond,
 		MinRate:     aggregateOps / 10,
 		MaxRate:     2 * aggregateOps,
-		Meter:       h.meter,
 	})
-	gate.Start()
 	for i, region := range regions {
 		cc := cassandra.NewClient(cluster, region, region)
 		cc.TokenAware = true
@@ -217,7 +213,6 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 	weakHist, finalHist := metrics.NewHistogram(), metrics.NewHistogram()
 	weakHist.Reserve(int(horizon.Seconds()*perRegionRate) * 3 / capLatencySample)
 	finalHist.Reserve(int(horizon.Seconds()*perRegionRate) * 3 / capLatencySample)
-	g := clock.NewGroup()
 	ctx := context.Background()
 
 	// One Poisson generator per region. Keys and the sampling decision are
@@ -231,9 +226,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 			own := capOwnKey(rng.Intn(capOwnKeys))
 			shared := capSharedKey(rng.Intn(capSharedKeys))
 			sample := i%capLatencySample == 0
-			g.Add(1)
-			clock.Go(func() {
-				defer g.Done()
+			w.spawn(func() {
 				started.Add(1)
 				if _, err := binding.InvokeStrong[binding.Ack](ctx, bc, binding.Put{Key: own, Value: val}).Final(ctx); err != nil {
 					aborted.Add(1)
@@ -272,31 +265,19 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 	// on an exclusive, non-preloaded keyspace (preloads would be phantom
 	// writes to the register checker), no admission and no retries (a
 	// retried write could land twice server-side and break attribution).
-	rec := history.NewRecorder()
 	for i := 0; i < capCheckedSessions; i++ {
-		sess := binding.NewSession(binding.NewClient(batchers[i%len(batchers)],
-			binding.WithObserver(rec),
-			binding.WithLabel(fmt.Sprintf("chk-%02d", i))))
+		sess := w.session(batchers[i%len(batchers)], fmt.Sprintf("chk-%02d", i))
 		rng := rand.New(rand.NewSource(cfg.Seed + 500_009*int64(i) + 29))
-		g.Add(1)
-		clock.Go(func() {
-			defer g.Done()
-			for clock.Now() < horizon {
-				key := capCheckedKey(rng.Intn(capCheckedKeys))
-				if rng.Float64() < 0.6 {
-					_, _ = sess.Get(ctx, key).Final(ctx)
-				} else {
-					_, _ = sess.Put(ctx, key, val).Final(ctx)
-				}
-				clock.Sleep(10 * time.Millisecond)
+		w.until(horizon, 10*time.Millisecond, func() {
+			key := capCheckedKey(rng.Intn(capCheckedKeys))
+			if rng.Float64() < 0.6 {
+				_, _ = sess.Get(ctx, key).Final(ctx)
+			} else {
+				_, _ = sess.Put(ctx, key, val).Final(ctx)
 			}
 		})
 	}
-
-	g.Wait()
-	gate.Stop()
-	elapsed := clock.Now()
-	h.drain()
+	elapsed := w.finish()
 
 	var batchedOps, dispatches int64
 	for _, bt := range batchers {
@@ -331,7 +312,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		UtilizationPct:        100 * busy.Seconds() / capacity,
 		FairnessJain:          jainIndex(perShard),
 		PerShardHandled:       perShard,
-		Check:                 buildCheckReport(rec, capCheckedSessions, "registers"),
+		Check:                 buildCheckReport(w.rec, capCheckedSessions, "registers"),
 	}
 	if dispatches > 0 {
 		row.BatchMeanOps = float64(batchedOps) / float64(dispatches)

@@ -73,45 +73,50 @@ func (r *CheckReport) Text(title string, seed int64) string {
 }
 
 // buildCheckReport verifies a recorded history with the default checker
-// set and returns the report every checked experiment shares. The default
-// set is: client-label collisions (an untrustworthy history), the session
+// set (checkHistory) and returns the report every checked experiment
+// shares.
+func buildCheckReport(recorder *history.Recorder, clients int, linModel string) *CheckReport {
+	ops := recorder.Ops()
+	report := &CheckReport{Clients: clients, Ops: len(ops), linModel: linModel}
+	session, lin, inconclusive := checkHistory(ops, recorder.Collisions(), linModel)
+	for _, v := range session {
+		report.SessionViolations = append(report.SessionViolations, v.String())
+	}
+	for _, v := range lin {
+		report.LinViolations = append(report.LinViolations, v.String())
+	}
+	report.Inconclusive = inconclusive
+	sum := sha256.Sum256(history.SerializeOps(ops))
+	report.HistoryDigest = hex.EncodeToString(sum[:])
+	return report
+}
+
+// checkHistory runs the default checker set over one recorded history —
+// the single check path behind every checked experiment and every hunt
+// world. The set is: client-label collisions (collisions is the
+// recorder's count; any means the history is untrustworthy), the session
 // guarantees (read-your-writes, monotonic reads, writes-follow-reads),
 // cross-object writes-follow-reads (sound for the checked stores — their
 // version tokens come from one store-wide counter, zxid or version, so
 // cross-key comparison is meaningful), and the causal-cut checker over the
 // incremental ladder. linModel additionally runs the Wing & Gong search
-// against a sequential model: "registers", "queues", or "" for none.
-func buildCheckReport(recorder *history.Recorder, clients int, linModel string) *CheckReport {
-	ops := recorder.Ops()
-	report := &CheckReport{Clients: clients, Ops: len(ops), linModel: linModel}
-	if n := recorder.Collisions(); n > 0 {
-		report.SessionViolations = append(report.SessionViolations,
-			fmt.Sprintf("history: %d client-label collisions — the recorded history is untrustworthy", n))
+// against a sequential model: "registers", "queues", or "" for none; its
+// violations and inconclusive keys come back separately.
+func checkHistory(ops []history.Op, collisions int, linModel string) (session, lin []history.Violation, inconclusive []string) {
+	if collisions > 0 {
+		session = append(session, history.Violation{
+			Guarantee: "history-integrity",
+			Detail:    fmt.Sprintf("%d client-label collisions — the recorded history is untrustworthy", collisions),
+		})
 	}
-	for _, v := range history.CheckSessionGuarantees(ops) {
-		report.SessionViolations = append(report.SessionViolations, v.String())
-	}
-	for _, v := range history.CheckCrossObjectWFR(ops) {
-		report.SessionViolations = append(report.SessionViolations, v.String())
-	}
-	for _, v := range history.CheckCausalCut(ops) {
-		report.SessionViolations = append(report.SessionViolations, v.String())
-	}
+	session = append(session, history.CheckSessionGuarantees(ops)...)
+	session = append(session, history.CheckCrossObjectWFR(ops)...)
+	session = append(session, history.CheckCausalCut(ops)...)
 	switch linModel {
 	case "registers":
-		linVs, inconclusive := history.CheckRegisters(ops, 0)
-		for _, v := range linVs {
-			report.LinViolations = append(report.LinViolations, v.String())
-		}
-		report.Inconclusive = inconclusive
+		lin, inconclusive = history.CheckRegisters(ops, 0)
 	case "queues":
-		linVs, inconclusive := history.CheckQueues(ops, 0)
-		for _, v := range linVs {
-			report.LinViolations = append(report.LinViolations, v.String())
-		}
-		report.Inconclusive = inconclusive
+		lin, inconclusive = history.CheckQueues(ops, 0)
 	}
-	sum := sha256.Sum256(history.SerializeOps(ops))
-	report.HistoryDigest = hex.EncodeToString(sum[:])
-	return report
+	return session, lin, inconclusive
 }

@@ -14,7 +14,7 @@ import (
 // metricFingerprint serializes every observable metric of a run — op
 // counts, throughput, exact histogram statistics, and per-class meter
 // bytes — so two runs can be compared byte for byte.
-func metricFingerprint(h *harness, results []*ycsb.Result) string {
+func metricFingerprint(w *world, results []*ycsb.Result) string {
 	var b strings.Builder
 	histo := func(name string, hg *metrics.Histogram) {
 		fmt.Fprintf(&b, "  %s: n=%d mean=%d p50=%d p99=%d min=%d max=%d\n",
@@ -28,7 +28,7 @@ func metricFingerprint(h *harness, results []*ycsb.Result) string {
 		histo("readPrelim", r.ReadPrelim)
 		histo("update", r.UpdateLat)
 	}
-	snap := h.meter.Snapshot()
+	snap := w.meter.Snapshot()
 	classes := make([]string, 0, len(snap))
 	for c := range snap {
 		classes = append(classes, c)
@@ -41,33 +41,33 @@ func metricFingerprint(h *harness, results []*ycsb.Result) string {
 }
 
 // fig6StyleRun executes one Fig 6 saturation cell (YCSB workload A, CC2,
-// three regional client groups) on a fresh harness and returns the full
+// three regional client groups) on a fresh world and returns the full
 // metric fingerprint. Callback-timer probes armed across the run record
 // their firing instants into the fingerprint, so the replay gate also
 // covers the RunAt/RunAfter dispatch path (which now carries all
 // fire-and-forget traffic: async replication, read repair, prelim
 // flushes).
 func fig6StyleRun(cfg Config) string {
-	w := workloadByName("A", ycsb.DistZipfian, 1000, 1024)
-	h := newHarness(cfg)
-	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
-	preloadDataset(cluster, w)
+	wl := workloadByName("A", ycsb.DistZipfian, 1000, 1024)
+	w := newWorld(cfg)
+	cluster := w.newCassandra(cassandraOpts{correctable: true})
+	preloadDataset(cluster, wl)
 	var cbLog []string
 	for i, d := range []time.Duration{
 		50 * time.Millisecond, 700 * time.Millisecond, 1900 * time.Millisecond,
 	} {
 		i := i
-		h.clock.RunAfter(d, func() {
-			cbLog = append(cbLog, fmt.Sprintf("cb%d@%d", i, h.clock.Now()))
+		w.clock.RunAfter(d, func() {
+			cbLog = append(cbLog, fmt.Sprintf("cb%d@%d", i, w.clock.Now()))
 		})
 	}
-	results := runGroups(cluster, w, 2, true, 8, ycsb.Options{
+	results := w.runGroups(cluster, wl, 2, true, 8, ycsb.Options{
 		Duration: 2 * time.Second,
 		Warmup:   200 * time.Millisecond,
 		Seed:     cfg.Seed,
 	})
-	h.drain()
-	return metricFingerprint(h, results) + "callbacks: " + strings.Join(cbLog, " ") + "\n"
+	w.finish()
+	return metricFingerprint(w, results) + "callbacks: " + strings.Join(cbLog, " ") + "\n"
 }
 
 // TestVirtualClockDeterministicReplay is the reproducibility guarantee the

@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"correctables/internal/binding"
 	"correctables/internal/faults"
-	"correctables/internal/history"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
 	"correctables/internal/zk"
@@ -80,9 +78,6 @@ type FailoverResult struct {
 	// column is this experiment's signature — nonzero only where an
 	// election window overlaps the phase, the outage row by construction.
 	Traced
-
-	// faultLog appends the transition log to Text (Config.FaultLog).
-	faultLog bool
 }
 
 // Violations implements Report.
@@ -98,9 +93,9 @@ func (res *FailoverResult) Violations() int { return res.Check.Violations() }
 // phase — recovery as a first-class, measured scenario rather than a
 // pass/fail test.
 //
-// With cfg.Check, a consistency-checked session population runs alongside
-// the measured one and its recorded history is verified (session
-// guarantees plus per-queue linearizability) across the failover.
+// A consistency-checked session population always runs alongside the
+// measured one, and its recorded history is verified (session guarantees
+// plus per-queue linearizability) across the failover.
 func Failover(cfg Config) (*FailoverResult, error) {
 	cfg = cfg.withDefaults()
 	unit := cfg.pickDur(2*time.Second, 300*time.Millisecond)
@@ -112,41 +107,35 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	horizon := 16 * unit
 	threads := cfg.pick(12, 6)
 
-	h := newHarness(cfg)
-	sched := faults.NewSchedule().
+	w := newWorld(cfg)
+	w.inject(faults.NewSchedule().
 		At(faultAt, faults.Partition{Groups: [][]netsim.Region{
 			{netsim.FRK}, {netsim.IRL, netsim.VRG},
 		}}).
-		At(healAt, faults.Heal{})
-	inj := faults.Attach(h.tr, sched, cfg.Seed+3)
-	e := h.newZK(cfg, zkOpts{
+		At(healAt, faults.Heal{}))
+	e := w.newZK(zkOpts{
 		correctable:     true,
 		leader:          netsim.FRK,
 		opTimeout:       opTimeout,
 		heartbeat:       hb,
 		electionTimeout: et,
 	})
-	e.SetTrace(h.trc)
+	e.SetTrace(w.trc)
 
 	// The sampled time-series (Config.Trace): the commit epoch steps at
 	// the election, the election counter marks attempts, and client-link
 	// traffic shows the enqueue flow surviving the outage as prelims.
-	if h.reg != nil {
-		h.reg.Gauge("commit_epoch", func() float64 {
-			return float64(e.CommitEpoch())
-		})
-		h.reg.Gauge("elections", func() float64 {
-			return float64(len(e.Elections()))
-		})
-		h.reg.Gauge("client_msgs", func() float64 {
-			return float64(h.meter.Class(netsim.LinkClient).Messages)
-		})
-		h.reg.Gauge("dropped_msgs", func() float64 {
-			d := h.meter.SnapshotDropped()
-			return float64(d[netsim.LinkClient].Messages + d[netsim.LinkReplica].Messages)
-		})
-		h.startSampling(horizon)
-	}
+	w.reg.Gauge("commit_epoch", func() float64 {
+		return float64(e.CommitEpoch())
+	})
+	w.reg.Gauge("elections", func() float64 {
+		return float64(len(e.Elections()))
+	})
+	w.reg.Gauge("client_msgs", func() float64 {
+		return float64(w.meter.Class(netsim.LinkClient).Messages)
+	})
+	w.reg.Gauge("dropped_msgs", func() float64 { return float64(w.droppedMsgs()) })
+	w.startSampling(horizon)
 
 	// Queues are created up front (healthy cluster) so the workload phase
 	// measures enqueues only.
@@ -177,86 +166,58 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	}
 
 	payload := make([]byte, 64)
-	shards := make([][][]faultOp, len(pops))
-	g := h.clock.NewGroup()
+	leds := make([]ledger, len(pops))
 	for pi, pop := range pops {
-		pi, pop := pi, pop
-		shards[pi] = make([][]faultOp, pop.threads)
+		leds[pi] = make(ledger, pop.threads)
 		for t := 0; t < pop.threads; t++ {
-			t := t
 			qc := pop.client(t)
 			queue := pop.queue(t)
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
-				for {
-					now := h.clock.Now()
-					if now >= horizon {
-						return
+			w.until(horizon, 0, func() {
+				now := w.clock.Now()
+				op := opRecord{start: now}
+				op.err = qc.Enqueue(queue, payload, true, func(v zk.QueueView) {
+					if v.Final {
+						op.final = w.clock.Now() - now
+					} else {
+						op.hasPrelim = true
+						op.prelim = w.clock.Now() - now
 					}
-					op := faultOp{start: now}
-					err := qc.Enqueue(queue, payload, true, func(v zk.QueueView) {
-						if v.Final {
-							op.final = h.clock.Now() - now
-						} else {
-							op.hasPrelim = true
-							op.prelim = h.clock.Now() - now
-						}
-					})
-					op.err = err != nil
-					op.end = h.clock.Now()
-					shards[pi][t] = append(shards[pi][t], op)
-				}
+				})
+				op.end = w.clock.Now()
+				leds[pi][t] = append(leds[pi][t], op)
 			})
 		}
 	}
 
-	// The checked population (cfg.Check): sessions through the full invoke
-	// pipeline on their own queues, half contacting the old leader, half
-	// the survivor, with a history recorder observing every op.
-	var recorder *history.Recorder
-	checkClients := 0
-	if cfg.Check {
-		recorder = history.NewRecorder()
-		checkClients = cfg.pick(6, 4)
-		for t := 0; t < checkClients; t++ {
-			t := t
-			contact := netsim.IRL
-			if t%2 == 1 {
-				contact = netsim.FRK
-			}
-			queue := fmt.Sprintf("chk-%02d", t)
-			if err := setup.CreateQueue(queue); err != nil {
-				return nil, fmt.Errorf("bench: creating %s: %w", queue, err)
-			}
-			qc := zk.NewQueueClient(e, netsim.IRL, contact)
-			sess := binding.NewSession(binding.NewClient(zk.NewBinding(qc),
-				binding.WithObserver(recorder),
-				binding.WithTracer(h.trc),
-				binding.WithLabel(fmt.Sprintf("sess-%02d", t))))
-			rng := rand.New(rand.NewSource(cfg.Seed + 5_555_557 + int64(t)*1_000_003))
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
-				ctx := context.Background()
-				for h.clock.Now() < horizon {
-					if rng.Float64() < 0.7 {
-						_, _ = sess.Enqueue(ctx, queue, payload).Final(ctx)
-					} else {
-						_, _ = sess.Dequeue(ctx, queue).Final(ctx)
-					}
-					// Paced, not closed-loop: each timed-out op enters the
-					// linearizability history as an ambiguous wildcard the
-					// search must branch on, so per-queue op counts are kept
-					// where the check stays conclusive.
-					h.clock.Sleep(unit / 8)
-				}
-			})
+	// The checked population: sessions through the full invoke pipeline on
+	// their own queues, half contacting the old leader, half the survivor,
+	// with the world's history recorder observing every op.
+	checkClients := cfg.pick(6, 4)
+	ctx := context.Background()
+	for t := 0; t < checkClients; t++ {
+		contact := netsim.IRL
+		if t%2 == 1 {
+			contact = netsim.FRK
 		}
+		queue := fmt.Sprintf("chk-%02d", t)
+		if err := setup.CreateQueue(queue); err != nil {
+			return nil, fmt.Errorf("bench: creating %s: %w", queue, err)
+		}
+		sess := w.session(zk.NewBinding(zk.NewQueueClient(e, netsim.IRL, contact)), fmt.Sprintf("sess-%02d", t))
+		rng := rand.New(rand.NewSource(cfg.Seed + 5_555_557 + int64(t)*1_000_003))
+		// Paced, not closed-loop: each timed-out op enters the
+		// linearizability history as an ambiguous wildcard the search must
+		// branch on, so per-queue op counts are kept where the check stays
+		// conclusive.
+		w.until(horizon, unit/8, func() {
+			if rng.Float64() < 0.7 {
+				_, _ = sess.Enqueue(ctx, queue, payload).Final(ctx)
+			} else {
+				_, _ = sess.Dequeue(ctx, queue).Final(ctx)
+			}
+		})
 	}
-	g.Wait()
-	inj.Quiesce()
-	h.drain()
+	w.finish()
 
 	res := &FailoverResult{
 		Description: "partition severs the zk leader mid-run; the majority elects, the minority serves prelims, the heal resyncs",
@@ -264,12 +225,9 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		OpTimeoutMs: metrics.Ms(opTimeout),
 		HeartbeatMs: metrics.Ms(hb), ElectionTimeoutMs: metrics.Ms(et),
 		FaultAtMs: metrics.Ms(faultAt), HealAtMs: metrics.Ms(healAt), HorizonMs: metrics.Ms(horizon),
-		Threads:  threads,
-		Seed:     cfg.Seed,
-		faultLog: cfg.FaultLog,
-	}
-	for _, tr := range inj.Log() {
-		res.Transitions = append(res.Transitions, tr.At.String()+": "+tr.Desc)
+		Threads:     threads,
+		Seed:        cfg.Seed,
+		Transitions: w.transitions(),
 	}
 
 	// Recovery metrics from the election log: the fault's election is the
@@ -289,22 +247,18 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	// First post-fault committed enqueue (majority side) and the prelim-only
 	// window it closes.
 	firstFinal := time.Duration(-1)
-	for _, shard := range shards[0] {
-		for _, op := range shard {
-			if op.start >= faultAt && !op.err && (firstFinal < 0 || op.end < firstFinal) {
-				firstFinal = op.end
-			}
+	for op := range leds[0].all() {
+		if op.start >= faultAt && op.err == nil && (firstFinal < 0 || op.end < firstFinal) {
+			firstFinal = op.end
 		}
 	}
 	if firstFinal >= 0 {
 		res.FirstFinalAfterFaultMs = metrics.Ms(firstFinal)
 		res.PrelimOnlyWindowMs = metrics.Ms(firstFinal - faultAt)
-		for _, popShards := range shards {
-			for _, shard := range popShards {
-				for _, op := range shard {
-					if at := op.start + op.prelim; op.hasPrelim && at >= faultAt && at < firstFinal {
-						res.OutagePrelims++
-					}
+		for _, led := range leds {
+			for op := range led.all() {
+				if at := op.start + op.prelim; op.hasPrelim && at >= faultAt && at < firstFinal {
+					res.OutagePrelims++
 				}
 			}
 		}
@@ -317,27 +271,23 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		{Name: "rejoin", Start: healAt, End: horizon},
 	}
 	for pi, pop := range pops {
-		for i, ph := range phases {
+		for i, ops := range leds[pi].byPhase(phases) {
+			ph := phases[i]
 			row := FailoverRow{Population: pop.name, Phase: ph.Name,
 				StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End)}
 			prelim, final := metrics.NewHistogram(), metrics.NewHistogram()
 			var completed int64
-			for _, shard := range shards[pi] {
-				for _, op := range shard {
-					if phaseOf(phases, op.at()) != i {
-						continue
-					}
-					row.Ops++
-					if op.hasPrelim {
-						row.Prelims++
-						prelim.Record(op.prelim)
-					}
-					if op.err {
-						row.Errors++
-					} else {
-						completed++
-						final.Record(op.final)
-					}
+			for _, op := range ops {
+				row.Ops++
+				if op.hasPrelim {
+					row.Prelims++
+					prelim.Record(op.prelim)
+				}
+				if op.err != nil {
+					row.Errors++
+				} else {
+					completed++
+					final.Record(op.final)
 				}
 			}
 			row.PrelimMeanMs = metrics.Ms(prelim.Mean())
@@ -348,9 +298,7 @@ func Failover(cfg Config) (*FailoverResult, error) {
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	res.Traced = h.observe(phases)
-	if recorder != nil {
-		res.Check = buildCheckReport(recorder, checkClients, "queues")
-	}
+	res.Traced = w.observe(phases)
+	res.Check = buildCheckReport(w.rec, checkClients, "queues")
 	return res, nil
 }

@@ -15,7 +15,7 @@ import (
 // history checkers. Same-seed replay is TestExperimentsReplay's
 // (cmd/icgbench).
 func TestFailoverRecoveryBounded(t *testing.T) {
-	cfg := Config{Quick: true, Seed: 42, Check: true}
+	cfg := Config{Quick: true, Seed: 42}
 	res, err := Failover(cfg)
 	if err != nil {
 		t.Fatal(err)

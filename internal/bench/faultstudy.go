@@ -6,10 +6,8 @@ import (
 	"math/rand"
 	"time"
 
-	"correctables/internal/binding"
 	"correctables/internal/cassandra"
 	"correctables/internal/faults"
-	"correctables/internal/history"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
 	"correctables/internal/ycsb"
@@ -75,48 +73,10 @@ type FaultStudyResult struct {
 	// Check is the consistency-check report (Config.Check runs only).
 	Check *CheckReport `json:"check,omitempty"`
 	Traced
-
-	// faultLog appends the transition log to Text (Config.FaultLog).
-	faultLog bool
 }
 
 // Violations implements Report.
 func (res *FaultStudyResult) Violations() int { return res.Check.Violations() }
-
-// faultOp is one operation's record in the study.
-type faultOp struct {
-	start     time.Duration
-	end       time.Duration
-	isRead    bool
-	err       bool
-	hasPrelim bool
-	prelim    time.Duration
-	final     time.Duration
-	diverged  bool
-}
-
-// at is the instant that buckets the operation into a phase: completed
-// operations belong to the phase they started in (their latency reflects
-// the conditions they ran under), failed ones to the phase their timeout
-// fired in (a read that starts just before a fault window and times out
-// inside it is that fault's casualty, not the healthy baseline's).
-func (op faultOp) at() time.Duration {
-	if op.err {
-		return op.end
-	}
-	return op.start
-}
-
-// phaseOf maps a model instant into its phase, clamping instants past the
-// last phase (ops that die during the drain) into it.
-func phaseOf(phases []faults.Phase, at time.Duration) int {
-	for i, ph := range phases {
-		if at < ph.End {
-			return i
-		}
-	}
-	return len(phases) - 1
-}
 
 // FaultStudy runs YCSB workload B against Correctable Cassandra (CC3:
 // quorum 3, so the strong view needs every region) under a fault schedule,
@@ -146,59 +106,40 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	opTimeout := 3 * unit
 	threads := cfg.pick(12, 6)
 
-	h := newHarness(cfg)
-	inj := faults.Attach(h.tr, scen.Schedule, cfg.Seed+3)
-	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, opTimeout: opTimeout})
-	cluster.SetTrace(h.trc)
-	w := workloadByName("B", ycsb.DistZipfian, 1000, 1024)
-	preloadDataset(cluster, w)
+	w := newWorld(cfg)
+	w.inject(scen.Schedule)
+	cluster := w.newCassandra(cassandraOpts{correctable: true, opTimeout: opTimeout})
+	cluster.SetTrace(w.trc)
+	wl := workloadByName("B", ycsb.DistZipfian, 1000, 1024)
+	preloadDataset(cluster, wl)
 
 	// The sampled time-series (Config.Trace): coordinator backpressure,
 	// fault-schedule message loss, and the hinted-handoff backlog, probed
 	// on a horizon-relative cadence by the registry's model-time ticker.
-	if h.reg != nil {
-		coord := cluster.Replica(netsim.FRK).Server()
-		h.reg.Gauge("coord_queue_delay_ms", func() float64 {
-			return metrics.Ms(coord.QueueDelay())
-		})
-		h.reg.Gauge("dropped_msgs", func() float64 {
-			d := h.meter.SnapshotDropped()
-			return float64(d[netsim.LinkClient].Messages + d[netsim.LinkReplica].Messages)
-		})
-		h.reg.Gauge("hint_backlog", func() float64 {
-			st := cluster.HintStats()
-			return float64(st.Queued - st.Replayed)
-		})
-		h.reg.Gauge("client_msgs", func() float64 {
-			return float64(h.meter.Class(netsim.LinkClient).Messages)
-		})
-		h.startSampling(scen.Horizon)
-	}
+	coord := cluster.Replica(netsim.FRK).Server()
+	w.reg.Gauge("coord_queue_delay_ms", func() float64 {
+		return metrics.Ms(coord.QueueDelay())
+	})
+	w.reg.Gauge("dropped_msgs", func() float64 { return float64(w.droppedMsgs()) })
+	w.reg.Gauge("hint_backlog", func() float64 {
+		st := cluster.HintStats()
+		return float64(st.Queued - st.Replayed)
+	})
+	w.reg.Gauge("client_msgs", func() float64 {
+		return float64(w.meter.Class(netsim.LinkClient).Messages)
+	})
+	w.startSampling(scen.Horizon)
 
 	// Cumulative dropped-message, queued-hint and admission-outcome probes
-	// at phase boundaries, armed before traffic so boundary callbacks
-	// interleave deterministically.
-	droppedAt := make([]int64, len(scen.Phases))
-	hintedAt := make([]int64, len(scen.Phases))
-	loadAt := make([]netsim.LoadStats, len(scen.Phases))
-	for i, ph := range scen.Phases {
-		i := i
-		h.clock.RunAt(ph.End, func() {
-			dropped := h.meter.SnapshotDropped()
-			droppedAt[i] = dropped[netsim.LinkClient].Messages + dropped[netsim.LinkReplica].Messages
-			hintedAt[i] = int64(cluster.HintStats().Queued)
-			loadAt[i] = h.meter.Load(netsim.LinkClient)
-		})
-	}
+	// at phase boundaries.
+	probe := w.probePhases(scen.Phases, func() int64 { return int64(cluster.HintStats().Queued) })
 
 	// The measured population: IRL clients on the FRK coordinator (the
 	// paper's remote-contact deployment), closed loop until the scenario
-	// horizon. Per-thread record shards keep the loop contention-free and
-	// the merge order deterministic.
+	// horizon.
 	client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
-	gen := w.NewGenerator()
-	shards := make([][]faultOp, threads)
-	g := h.clock.NewGroup()
+	gen := wl.NewGenerator()
+	led := make(ledger, threads)
 
 	// A background writer population on the IRL coordinator keeps foreign
 	// writes flowing: the measured coordinator (FRK) learns of them only
@@ -208,12 +149,8 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	bgWriter := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
 	for t := 0; t < threads/3+1; t++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7_777_777 + int64(t)*1_000_003))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < scen.Horizon {
-				_ = bgWriter.Write(ycsb.Key(gen.Next(rng)), w.Value(rng), 1)
-			}
+		w.until(scen.Horizon, 0, func() {
+			_ = bgWriter.Write(ycsb.Key(gen.Next(rng)), wl.Value(rng), 1)
 		})
 	}
 	// The checked population (Config.Check): session clients running the
@@ -223,82 +160,59 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	// worlds the checkers can verify completely. Half contact the FRK
 	// coordinator, half IRL, which makes cross-coordinator staleness (and
 	// hence the session machinery) actually exercise under faults.
-	var recorder *history.Recorder
 	checkClients := 0
 	if cfg.Check {
-		recorder = history.NewRecorder()
 		checkClients = cfg.pick(6, 4)
 		checkKeys := 24
+		ctx := context.Background()
 		for t := 0; t < checkClients; t++ {
-			t := t
 			coord := netsim.FRK
 			if t%2 == 1 {
 				coord = netsim.IRL
 			}
 			cc := cassandra.NewClient(cluster, netsim.IRL, coord)
-			bc := binding.NewClient(cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 3}),
-				binding.WithObserver(recorder),
-				binding.WithTracer(h.trc),
-				binding.WithLabel(fmt.Sprintf("sess-%02d", t)))
-			sess := binding.NewSession(bc)
+			sess := w.session(cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 3}),
+				fmt.Sprintf("sess-%02d", t))
 			rng := rand.New(rand.NewSource(cfg.Seed + 5_555_557 + int64(t)*1_000_003))
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
-				ctx := context.Background()
-				for h.clock.Now() < scen.Horizon {
-					key := fmt.Sprintf("chk-%03d", rng.Intn(checkKeys))
-					if rng.Float64() < 0.65 {
-						_, _ = sess.Get(ctx, key).Final(ctx)
-					} else {
-						_, _ = sess.Put(ctx, key, w.Value(rng)).Final(ctx)
-					}
+			w.until(scen.Horizon, 0, func() {
+				key := fmt.Sprintf("chk-%03d", rng.Intn(checkKeys))
+				if rng.Float64() < 0.65 {
+					_, _ = sess.Get(ctx, key).Final(ctx)
+				} else {
+					_, _ = sess.Put(ctx, key, wl.Value(rng)).Final(ctx)
 				}
 			})
 		}
 	}
 	for t := 0; t < threads; t++ {
-		t := t
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for {
-				now := h.clock.Now()
-				if now >= scen.Horizon {
-					return
-				}
-				key := ycsb.Key(gen.Next(rng))
-				op := faultOp{start: now}
-				if rng.Float64() < w.ReadProportion {
-					op.isRead = true
-					var confirmed bool
-					err := client.Read(key, 3, true, func(v cassandra.ReadView) {
-						if v.Final {
-							op.final = h.clock.Now() - now
-							confirmed = v.Confirmed
-						} else {
-							op.hasPrelim = true
-							op.prelim = h.clock.Now() - now
-						}
-					})
-					op.err = err != nil
-					op.diverged = op.hasPrelim && !op.err && !confirmed
-				} else {
-					err := client.Write(key, w.Value(rng), 1)
-					op.err = err != nil
-					op.final = h.clock.Now() - now
-				}
-				op.end = h.clock.Now()
-				shards[t] = append(shards[t], op)
+		w.until(scen.Horizon, 0, func() {
+			now := w.clock.Now()
+			key := ycsb.Key(gen.Next(rng))
+			op := opRecord{start: now}
+			if rng.Float64() < wl.ReadProportion {
+				op.read = true
+				var confirmed bool
+				op.err = client.Read(key, 3, true, func(v cassandra.ReadView) {
+					if v.Final {
+						op.final = w.clock.Now() - now
+						confirmed = v.Confirmed
+					} else {
+						op.hasPrelim = true
+						op.prelim = w.clock.Now() - now
+					}
+				})
+				op.diverged = op.hasPrelim && op.err == nil && !confirmed
+			} else {
+				op.err = client.Write(key, wl.Value(rng), 1)
+				op.final = w.clock.Now() - now
 			}
+			op.end = w.clock.Now()
+			led[t] = append(led[t], op)
 		})
 	}
-	g.Wait()
-	inj.Quiesce()
-	h.drain()
+	w.finish()
 
-	// Bucket the merged records by the phase each operation started in.
 	res := &FaultStudyResult{
 		Scenario:    scen.Name,
 		Description: scen.Description,
@@ -306,48 +220,41 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 		OpTimeoutMs: metrics.Ms(opTimeout),
 		Threads:     threads,
 		Seed:        cfg.Seed,
-		faultLog:    cfg.FaultLog,
+		Transitions: w.transitions(),
 	}
-	for _, tr := range inj.Log() {
-		res.Transitions = append(res.Transitions, tr.At.String()+": "+tr.Desc)
+	if cfg.Check {
+		res.Check = buildCheckReport(w.rec, checkClients, "registers")
 	}
-	if recorder != nil {
-		res.Check = buildCheckReport(recorder, checkClients, "registers")
-	}
-	for i, ph := range scen.Phases {
+	for i, ops := range led.byPhase(scen.Phases) {
+		ph := scen.Phases[i]
 		row := FaultStudyRow{Phase: ph.Name, StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End)}
 		prelim, final, update := metrics.NewHistogram(), metrics.NewHistogram(), metrics.NewHistogram()
 		var completed, diverged, divergeBase int64
-		for _, shard := range shards {
-			for _, op := range shard {
-				if phaseOf(scen.Phases, op.at()) != i {
-					continue
+		for _, op := range ops {
+			if op.read {
+				row.Reads++
+				if op.hasPrelim {
+					row.Prelims++
+					prelim.Record(op.prelim)
 				}
-				if op.isRead {
-					row.Reads++
+				if op.err != nil {
+					row.ReadErrors++
+				} else {
+					completed++
+					final.Record(op.final)
 					if op.hasPrelim {
-						row.Prelims++
-						prelim.Record(op.prelim)
-					}
-					if op.err {
-						row.ReadErrors++
-					} else {
-						completed++
-						final.Record(op.final)
-						if op.hasPrelim {
-							divergeBase++
-							if op.diverged {
-								diverged++
-							}
+						divergeBase++
+						if op.diverged {
+							diverged++
 						}
 					}
+				}
+			} else {
+				row.Writes++
+				if op.err != nil {
+					row.WriteErr++
 				} else {
-					row.Writes++
-					if op.err {
-						row.WriteErr++
-					} else {
-						update.Record(op.final)
-					}
+					update.Record(op.final)
 				}
 			}
 		}
@@ -358,19 +265,11 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 		row.UpdateMeanMs = metrics.Ms(update.Mean())
 		row.ReadAvailabilityPct = 100 * metrics.Ratio(completed, row.Reads)
 		row.DivergencePct = 100 * metrics.Ratio(diverged, divergeBase)
-		var prevDropped, prevHinted int64
-		var prevLoad netsim.LoadStats
-		if i > 0 {
-			prevDropped, prevHinted = droppedAt[i-1], hintedAt[i-1]
-			prevLoad = loadAt[i-1]
-		}
-		row.DroppedMsgs = droppedAt[i] - prevDropped
-		row.HintedMsgs = hintedAt[i] - prevHinted
-		row.Rejected = loadAt[i].Rejected - prevLoad.Rejected
-		row.Shed = loadAt[i].Shed - prevLoad.Shed
-		row.Retried = loadAt[i].Retried - prevLoad.Retried
+		d := probe.delta(i)
+		row.DroppedMsgs, row.HintedMsgs = d.dropped, d.hinted
+		row.Rejected, row.Shed, row.Retried = d.load.Rejected, d.load.Shed, d.load.Retried
 		res.Rows = append(res.Rows, row)
 	}
-	res.Traced = h.observe(scen.Phases)
+	res.Traced = w.observe(scen.Phases)
 	return res, nil
 }

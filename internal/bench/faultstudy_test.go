@@ -156,9 +156,9 @@ func TestFaultStudyAsymmetry(t *testing.T) {
 // observe OnError, never a hang.
 func TestWeakReadsSurviveMajorityPartition(t *testing.T) {
 	cfg := Config{Seed: 1, Quick: true}
-	h := newHarness(cfg)
-	inj := faults.Attach(h.tr, nil, 1)
-	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, opTimeout: 400 * time.Millisecond})
+	w := newWorld(cfg)
+	inj := w.inject(nil)
+	cluster := w.newCassandra(cassandraOpts{correctable: true, opTimeout: 400 * time.Millisecond})
 	cluster.Preload("k", []byte("v"))
 
 	client := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
@@ -170,7 +170,7 @@ func TestWeakReadsSurviveMajorityPartition(t *testing.T) {
 	}})
 
 	// Weak read: coordinator-local, completes fast.
-	sw := h.clock.StartStopwatch()
+	sw := w.clock.StartStopwatch()
 	v, err := binding.InvokeWeak[[]byte](ctx, bc, binding.Get{Key: "k"}).Final(ctx)
 	if err != nil || string(v.Value) != "v" {
 		t.Fatalf("weak read under partition: %v %q", err, v.Value)
@@ -199,6 +199,5 @@ func TestWeakReadsSurviveMajorityPartition(t *testing.T) {
 	if _, err := binding.InvokeStrong[[]byte](ctx, bc, binding.Get{Key: "k"}).Final(ctx); err != nil {
 		t.Fatalf("strong read after heal: %v", err)
 	}
-	inj.Quiesce()
-	h.drain()
+	w.finish()
 }

@@ -44,8 +44,8 @@ func Fig10(cfg Config) []Fig10Row {
 				name        string
 				correctable bool
 			}{{"ZK", false}, {"CZK", true}} {
-				h := newHarness(cfg)
-				e := h.newZK(cfg, zkOpts{correctable: sys.correctable, leader: netsim.IRL})
+				w := newWorld(cfg)
+				e := w.newZK(zkOpts{correctable: sys.correctable, leader: netsim.IRL})
 				e.Bootstrap(zk.CreateTxn{Path: "/queues"})
 				e.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
 				size := queueSize
@@ -59,27 +59,23 @@ func Fig10(cfg Config) []Fig10Row {
 						Sequential: true,
 					})
 				}
-				base := h.meter.Class(netsim.LinkClient).Bytes
+				base := w.meter.Class(netsim.LinkClient).Bytes
 
 				perClient := opsTotal / clients
 				if perClient == 0 {
 					perClient = 1
 				}
-				wg := h.clock.NewGroup()
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					h.clock.Go(func() {
-						defer wg.Done()
+				for range clients {
+					w.spawn(func() {
 						qc := zk.NewQueueClient(e, netsim.FRK, netsim.FRK)
 						for i := 0; i < perClient; i++ {
 							_ = qc.Dequeue("ev", sys.correctable, func(zk.QueueView) {})
 						}
 					})
 				}
-				wg.Wait()
-				h.drain()
+				w.finish()
 				ops := perClient * clients
-				bytes := h.meter.Class(netsim.LinkClient).Bytes - base
+				bytes := w.meter.Class(netsim.LinkClient).Bytes - base
 				rows = append(rows, Fig10Row{
 					System:    sys.name,
 					QueueSize: queueSize,

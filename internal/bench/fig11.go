@@ -165,8 +165,8 @@ func Fig11(cfg Config) []Fig11Row {
 					correctable bool
 					speculative bool
 				}{{"C2", false, false}, {"CC2", true, true}} {
-					h := newHarness(cfg)
-					cluster := h.newCassandra(cfg, cassandraOpts{
+					w := newWorld(cfg)
+					cluster := w.newCassandra(cassandraOpts{
 						regions:     ac.regions,
 						correctable: sys.correctable,
 						confirmOpt:  true,
@@ -176,15 +176,15 @@ func Fig11(cfg Config) []Fig11Row {
 					} else {
 						twissandra.Load(cluster, twLoad)
 					}
-					w := workloadByName(wname, ycsb.DistZipfian, ac.records, 128)
+					wl := workloadByName(wname, ycsb.DistZipfian, ac.records, 128)
 					db := ac.makeDB(cluster, sys.speculative)
-					res := ycsb.Run(w, db, h.clock, ycsb.Options{
+					res := ycsb.Run(wl, db, w.clock, ycsb.Options{
 						Threads:  threads,
 						Duration: dur,
 						Warmup:   warmup,
 						Seed:     cfg.Seed,
 					})
-					h.drain()
+					w.finish()
 					missPct := 0.0
 					if res.PrelimReads > 0 {
 						missPct = 100 * float64(res.Diverged) / float64(res.PrelimReads)

@@ -59,18 +59,15 @@ func Fig12(cfg Config) Fig12Result {
 	var out Fig12Result
 
 	run := func(system string, correctable bool) {
-		h := newHarness(cfg)
-		e := h.newZK(cfg, zkOpts{correctable: correctable, leader: netsim.IRL})
+		w := newWorld(cfg)
+		e := w.newZK(zkOpts{correctable: correctable, leader: netsim.IRL})
 		tickets.Stock(e, "event", stock)
 
 		var mu sync.Mutex
 		var results []Fig12Point
 		revokedTotal := 0
-		wg := h.clock.NewGroup()
-		for w := 0; w < retailers; w++ {
-			wg.Add(1)
-			h.clock.Go(func() {
-				defer wg.Done()
+		for range retailers {
+			w.spawn(func() {
 				r := tickets.NewRetailer(zk.NewBinding(zk.NewQueueClient(e, netsim.FRK, netsim.FRK)))
 				for {
 					var (
@@ -109,8 +106,7 @@ func Fig12(cfg Config) Fig12Result {
 				}
 			})
 		}
-		wg.Wait()
-		h.drain()
+		w.finish()
 
 		fast, slow := metrics.NewHistogram(), metrics.NewHistogram()
 		for _, p := range results {

@@ -33,17 +33,17 @@ func Fig5(cfg Config) []Fig5Row {
 	const keys = 100
 
 	measure := func(correctable bool, quorum int, wantPrelim bool) (prelim, final *metrics.Histogram) {
-		h := newHarness(cfg)
-		cluster := h.newCassandra(cfg, cassandraOpts{correctable: correctable})
+		w := newWorld(cfg)
+		cluster := w.newCassandra(cassandraOpts{correctable: correctable})
 		val := make([]byte, 100)
 		for i := 0; i < keys; i++ {
 			cluster.Preload(ycsb.Key(i), val)
 		}
 		client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
-		defer h.drain()
+		defer w.finish()
 		prelim, final = metrics.NewHistogram(), metrics.NewHistogram()
 		for i := 0; i < samples; i++ {
-			sw := h.clock.StartStopwatch()
+			sw := w.clock.StartStopwatch()
 			_ = client.Read(ycsb.Key(i%keys), quorum, wantPrelim, func(v cassandra.ReadView) {
 				if v.Final {
 					final.Record(sw.ElapsedModel())

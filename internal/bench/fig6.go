@@ -59,16 +59,16 @@ func Fig6(cfg Config) []Fig6Row {
 	for _, wname := range []string{"A", "B", "C"} {
 		for _, threadsTotal := range fig6ThreadSweep(cfg) {
 			for _, sys := range systems {
-				w := workloadByName(wname, ycsb.DistZipfian, records, valueSize)
-				h := newHarness(cfg)
-				cluster := h.newCassandra(cfg, cassandraOpts{correctable: sys.correctable})
-				preloadDataset(cluster, w)
-				results := runGroups(cluster, w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
+				wl := workloadByName(wname, ycsb.DistZipfian, records, valueSize)
+				w := newWorld(cfg)
+				cluster := w.newCassandra(cassandraOpts{correctable: sys.correctable})
+				preloadDataset(cluster, wl)
+				results := w.runGroups(cluster, wl, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
 					Duration: dur,
 					Warmup:   warmup,
 					Seed:     cfg.Seed,
 				})
-				h.drain()
+				w.finish()
 				var totalThroughput float64
 				for _, r := range results {
 					totalThroughput += r.ThroughputOps
@@ -105,25 +105,4 @@ func workloadByName(name string, dist ycsb.DistKind, records, valueSize int) ycs
 	default:
 		panic("bench: unknown workload " + name)
 	}
-}
-
-// throughputDropPct is a helper for EXPERIMENTS.md: the relative throughput
-// cost of CC2 vs C2 at the same offered load (the paper reports ~6%).
-func throughputDropPct(rows []Fig6Row, workload string, threads int) float64 {
-	var c2, cc2 float64
-	for _, r := range rows {
-		if r.Workload != workload || r.Threads != threads {
-			continue
-		}
-		switch r.System {
-		case "C2":
-			c2 = r.Throughput
-		case "CC2 final":
-			cc2 = r.Throughput
-		}
-	}
-	if c2 == 0 {
-		return 0
-	}
-	return 100 * (c2 - cc2) / c2
 }

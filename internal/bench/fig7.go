@@ -47,16 +47,16 @@ func Fig7(cfg Config) []Fig7Row {
 	for _, wname := range []string{"A", "B"} {
 		for _, dist := range []ycsb.DistKind{ycsb.DistLatest, ycsb.DistZipfian} {
 			for _, threadsTotal := range fig7ThreadSweep(cfg) {
-				w := workloadByName(wname, dist, records, valueSize)
-				h := newHarness(cfg)
-				cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
-				preloadDataset(cluster, w)
-				results := runGroups(cluster, w, 2, true, threadsTotal/3, ycsb.Options{
+				wl := workloadByName(wname, dist, records, valueSize)
+				w := newWorld(cfg)
+				cluster := w.newCassandra(cassandraOpts{correctable: true})
+				preloadDataset(cluster, wl)
+				results := w.runGroups(cluster, wl, 2, true, threadsTotal/3, ycsb.Options{
 					Duration: dur,
 					Warmup:   warmup,
 					Seed:     cfg.Seed,
 				})
-				h.drain()
+				w.finish()
 				var diverged, prelims int64
 				for _, r := range results {
 					diverged += r.Diverged

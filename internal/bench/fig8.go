@@ -60,21 +60,21 @@ func Fig8(cfg Config) []Fig8Row {
 			for _, threadsTotal := range sweep {
 				var baseline float64
 				for _, sys := range systems {
-					w := workloadByName(wname, dist, records, valueSize)
-					h := newHarness(cfg)
-					cluster := h.newCassandra(cfg, cassandraOpts{
+					wl := workloadByName(wname, dist, records, valueSize)
+					w := newWorld(cfg)
+					cluster := w.newCassandra(cassandraOpts{
 						correctable: sys.correctable,
 						confirmOpt:  sys.confirmOpt,
 					})
-					preloadDataset(cluster, w)
-					base := h.meter.Class(netsim.LinkClient).Bytes
+					preloadDataset(cluster, wl)
+					base := w.meter.Class(netsim.LinkClient).Bytes
 					// No warmup: the meter integrates the whole run, so ops
 					// and bytes must cover the same span.
-					results := runGroups(cluster, w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
+					results := w.runGroups(cluster, wl, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
 						Duration: dur,
 						Seed:     cfg.Seed,
 					})
-					h.drain()
+					w.finish()
 					var ops int64
 					for _, r := range results {
 						ops += r.Ops
@@ -82,7 +82,7 @@ func Fig8(cfg Config) []Fig8Row {
 					if ops == 0 {
 						ops = 1
 					}
-					bytes := h.meter.Class(netsim.LinkClient).Bytes - base
+					bytes := w.meter.Class(netsim.LinkClient).Bytes - base
 					kb := float64(bytes) / 1024 / float64(ops)
 					row := Fig8Row{
 						Workload:     wname,

@@ -49,14 +49,14 @@ func Fig9(cfg Config) []Fig9Row {
 	var rows []Fig9Row
 	for _, pc := range fig9Configs() {
 		// CZK: one run collecting both views.
-		h := newHarness(cfg)
-		e := h.newZK(cfg, zkOpts{correctable: true, leader: pc.leader})
+		w := newWorld(cfg)
+		e := w.newZK(zkOpts{correctable: true, leader: pc.leader})
 		e.Bootstrap(zk.CreateTxn{Path: "/queues"})
 		e.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
 		qc := zk.NewQueueClient(e, netsim.IRL, pc.contact)
 		prelim, final := metrics.NewHistogram(), metrics.NewHistogram()
 		for i := 0; i < samples; i++ {
-			sw := h.clock.StartStopwatch()
+			sw := w.clock.StartStopwatch()
 			_ = qc.Enqueue("ev", []byte(fmt.Sprintf("ticket-%013d", i)), true, func(v zk.QueueView) {
 				if v.Final {
 					final.Record(sw.ElapsedModel())
@@ -65,28 +65,28 @@ func Fig9(cfg Config) []Fig9Row {
 				}
 			})
 		}
-		h.drain()
+		w.finish()
 		rows = append(rows,
 			Fig9Row{pc.name, "CZK preliminary", prelim.Mean(), prelim.Percentile(99)},
 			Fig9Row{pc.name, "CZK final", final.Mean(), final.Percentile(99)},
 		)
 
 		// Vanilla ZK baseline.
-		h2 := newHarness(cfg)
-		e2 := h2.newZK(cfg, zkOpts{leader: pc.leader})
+		w2 := newWorld(cfg)
+		e2 := w2.newZK(zkOpts{leader: pc.leader})
 		e2.Bootstrap(zk.CreateTxn{Path: "/queues"})
 		e2.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
 		qc2 := zk.NewQueueClient(e2, netsim.IRL, pc.contact)
 		base := metrics.NewHistogram()
 		for i := 0; i < samples; i++ {
-			sw := h2.clock.StartStopwatch()
+			sw := w2.clock.StartStopwatch()
 			_ = qc2.Enqueue("ev", []byte(fmt.Sprintf("ticket-%013d", i)), false, func(v zk.QueueView) {
 				if v.Final {
 					base.Record(sw.ElapsedModel())
 				}
 			})
 		}
-		h2.drain()
+		w2.finish()
 		rows = append(rows, Fig9Row{pc.name, "ZK", base.Mean(), base.Percentile(99)})
 	}
 	return rows

@@ -123,8 +123,8 @@ func formatDecomp(rows []PhaseDecomp) string {
 }
 
 // Text implements Report: the per-phase table, the latency decomposition
-// (traced runs), the fault-transition log (Config.FaultLog, the replay
-// record) and the check summary (Config.Check).
+// (traced runs), the fault-transition log (the replay record) and the
+// check summary (Config.Check).
 func (res *FaultStudyResult) Text() string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
@@ -143,9 +143,7 @@ func (res *FaultStudyResult) Text() string {
 		[]string{"phase", "reads", "errs", "prelim ms", "final ms", "final p99", "avail %", "div %", "dropped", "hinted", "rej", "shed", "retry"},
 		out))
 	b.WriteString(formatDecomp(res.Decomp))
-	if res.faultLog {
-		b.WriteString(formatTransitions(res.Transitions))
-	}
+	b.WriteString(formatTransitions(res.Transitions))
 	if res.Check != nil {
 		b.WriteString(res.Check.Text("consistency check", res.Seed))
 	}
@@ -154,7 +152,7 @@ func (res *FaultStudyResult) Text() string {
 
 // Text implements Report: the per-population phase table, the latency
 // decomposition (traced runs), the recovery summary, the fault-transition
-// log (Config.FaultLog) and the check summary.
+// log and the check summary.
 func (res *FailoverResult) Text() string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
@@ -173,9 +171,7 @@ func (res *FailoverResult) Text() string {
 		res.NewLeader, res.Epoch, res.TimeToRecoveryMs, res.ElectionTimeoutMs)
 	fmt.Fprintf(&b, "  prelim-only window: %.0fms (first post-fault commit at %.0fms); %d preliminary views served inside it\n",
 		res.PrelimOnlyWindowMs, res.FirstFinalAfterFaultMs, res.OutagePrelims)
-	if res.faultLog {
-		b.WriteString(formatTransitions(res.Transitions))
-	}
+	b.WriteString(formatTransitions(res.Transitions))
 	if res.Check != nil {
 		b.WriteString(res.Check.Text("consistency check", res.Seed))
 	}

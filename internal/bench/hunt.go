@@ -222,14 +222,13 @@ func huntShards(profile string) int {
 //   - plain (sessionless) ladder clients on the causal store, on their own
 //     recorder, checked with causal-cut only: the three-level ladder must
 //     hold without any session machinery in front of it.
-func runHuntWorld(w huntWorld) *huntOutcome {
-	cfg := Config{Seed: w.Seed}
-	h := newHarness(cfg)
-	inj := faults.Attach(h.tr, faults.Compose(w.Tracks...), w.Seed+3)
-	cluster := h.newCassandra(cfg, cassandraOpts{
+func runHuntWorld(hw huntWorld) *huntOutcome {
+	w := newWorld(Config{Seed: hw.Seed})
+	inj := w.inject(faults.Compose(hw.Tracks...))
+	cluster := w.newCassandra(cassandraOpts{
 		correctable: true,
-		opTimeout:   3 * w.Unit,
-		shards:      huntShards(w.Profile),
+		opTimeout:   3 * hw.Unit,
+		shards:      huntShards(hw.Profile),
 	})
 	// The checked keyspace is deliberately NOT preloaded: preloads consume
 	// store-wide version timestamps outside the recorded history, which the
@@ -238,15 +237,15 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 	val := []byte("hunt-payload-0123456789abcdef")
 
 	var st *causal.Store
-	if w.Causal > 0 {
+	if hw.Causal > 0 {
 		var err error
 		st, err = causal.NewStore(causal.Config{
 			Primary:          netsim.FRK,
 			Backups:          []netsim.Region{netsim.IRL, netsim.VRG},
-			Transport:        h.tr,
+			Transport:        w.tr,
 			ServiceTime:      200 * time.Microsecond,
-			PropagationDelay: w.Unit / 2,
-			OpTimeout:        3 * w.Unit,
+			PropagationDelay: hw.Unit / 2,
+			OpTimeout:        3 * hw.Unit,
 		})
 		if err != nil {
 			panic("bench: " + err.Error())
@@ -256,61 +255,49 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 		}
 	}
 
-	recA := history.NewRecorder() // cassandra sessions + arrivals
-	recB := history.NewRecorder() // plain causal ladder clients
-	g := h.clock.NewGroup()
+	// The world's recorder takes the cassandra sessions and arrivals; the
+	// plain causal ladder clients get their own.
+	ladderRec := history.NewRecorder()
 	ctx := context.Background()
 
 	newSessionBinding := func(cc *cassandra.Client) binding.Binding {
 		b := cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 3})
-		if w.Plant {
+		if hw.Plant {
 			return &plantedBinding{Binding: b, inj: inj}
 		}
 		return b
 	}
 
 	// Paced session clients.
-	for i := 0; i < w.Sessions; i++ {
+	for i := 0; i < hw.Sessions; i++ {
 		coord := netsim.FRK
 		if i%2 == 1 {
 			coord = netsim.IRL
 		}
 		cc := cassandra.NewClient(cluster, netsim.IRL, coord)
-		bc := binding.NewClient(newSessionBinding(cc),
-			binding.WithObserver(recA),
-			binding.WithLabel(fmt.Sprintf("sess-%02d", i)))
-		sess := binding.NewSession(bc)
-		rng := rand.New(rand.NewSource(w.Seed + 100_003*int64(i) + 7))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < w.Horizon {
-				key := huntKey(rng.Intn(huntSessionKeys))
-				if rng.Float64() < 0.6 {
-					_, _ = sess.Get(ctx, key).Final(ctx)
-				} else {
-					_, _ = sess.Put(ctx, key, val).Final(ctx)
-				}
-				h.clock.Sleep(w.Unit / 12)
+		sess := w.session(newSessionBinding(cc), fmt.Sprintf("sess-%02d", i))
+		rng := rand.New(rand.NewSource(hw.Seed + 100_003*int64(i) + 7))
+		w.until(hw.Horizon, hw.Unit/12, func() {
+			key := huntKey(rng.Intn(huntSessionKeys))
+			if rng.Float64() < 0.6 {
+				_, _ = sess.Get(ctx, key).Final(ctx)
+			} else {
+				_, _ = sess.Put(ctx, key, val).Final(ctx)
 			}
 		})
 	}
 
 	// Open-loop arrival clients through admission control.
-	var gate *load.Controller
-	if w.ArrivalRate > 0 {
-		gate = load.NewController(load.Config{
-			Clock:          h.clock,
-			PerClientRate:  w.ArrivalRate,
-			PerClientBurst: w.ArrivalRate / 4,
+	if hw.ArrivalRate > 0 {
+		gate := w.gate(load.Config{
+			PerClientRate:  hw.ArrivalRate,
+			PerClientBurst: hw.ArrivalRate / 4,
 			Sample:         cluster.Replica(netsim.FRK).Server().QueueDelay,
-			SampleEvery:    w.Unit / 2,
-			Threshold:      w.Unit,
+			SampleEvery:    hw.Unit / 2,
+			Threshold:      hw.Unit,
 			MinRate:        20,
 			MaxRate:        2000,
-			Meter:          h.meter,
 		})
-		gate.Start()
 		open := make([]*binding.Session, 2)
 		for i := range open {
 			cc := cassandra.NewClient(cluster, netsim.VRG, netsim.FRK)
@@ -319,20 +306,15 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 			// makes the second version token unattributable and the register
 			// checker unsound. Timed-out ops stay incomplete and enter the
 			// linearizability history as ambiguous writes instead.
-			bc := binding.NewClient(newSessionBinding(cc),
-				binding.WithObserver(recA),
-				binding.WithLabel(fmt.Sprintf("open-%02d", i)),
+			open[i] = w.session(newSessionBinding(cc), fmt.Sprintf("open-%02d", i),
 				binding.WithAdmission(gate))
-			open[i] = binding.NewSession(bc)
 		}
-		rng := rand.New(rand.NewSource(w.Seed + 31))
+		rng := rand.New(rand.NewSource(hw.Seed + 31))
 		fire := func(n int) {
 			sess := open[n%len(open)]
 			key := huntKey(rng.Intn(huntSessionKeys))
 			isRead := rng.Float64() < 0.7
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
+			w.spawn(func() {
 				if isRead {
 					_, _ = sess.Get(ctx, key).Final(ctx)
 				} else {
@@ -340,56 +322,42 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 				}
 			})
 		}
-		load.Start(h.clock, load.NewPoisson(w.ArrivalRate, w.Seed+41), w.Horizon, fire)
+		load.Start(w.clock, load.NewPoisson(hw.ArrivalRate, hw.Seed+41), hw.Horizon, fire)
 	}
 
 	// Plain causal ladder clients.
-	for i := 0; i < w.Causal; i++ {
+	for i := 0; i < hw.Causal; i++ {
 		region := netsim.IRL
 		if i%2 == 1 {
 			region = netsim.VRG
 		}
 		kv := causal.NewKV(causal.NewBinding(causal.NewClient(st, region)),
-			binding.WithObserver(recB),
+			binding.WithObserver(ladderRec),
 			binding.WithLabel(fmt.Sprintf("cau-%02d", i)))
-		rng := rand.New(rand.NewSource(w.Seed + 500_009*int64(i) + 13))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < w.Horizon {
-				key := huntCausalKey(rng.Intn(huntCausalKeys))
-				if rng.Float64() < 0.7 {
-					_, _ = kv.Get(ctx, key).Final(ctx)
-				} else {
-					_, _ = kv.Put(ctx, key, val).Final(ctx)
-				}
-				h.clock.Sleep(w.Unit / 10)
+		rng := rand.New(rand.NewSource(hw.Seed + 500_009*int64(i) + 13))
+		w.until(hw.Horizon, hw.Unit/10, func() {
+			key := huntCausalKey(rng.Intn(huntCausalKeys))
+			if rng.Float64() < 0.7 {
+				_, _ = kv.Get(ctx, key).Final(ctx)
+			} else {
+				_, _ = kv.Put(ctx, key, val).Final(ctx)
 			}
 		})
 	}
 
-	g.Wait()
-	if gate != nil {
-		gate.Stop()
-	}
-	inj.Quiesce()
-	h.drain()
+	w.finish()
+	return huntVerdict(w.rec, ladderRec)
+}
 
+// huntVerdict checks a world's two recorded histories: the cassandra
+// sessions and arrivals (recA) with the default checker set plus register
+// linearizability, the plain ladder clients (recB) with causal-cut only.
+// A label collision in either recorder fails the world.
+func huntVerdict(recA, recB *history.Recorder) *huntOutcome {
 	opsA, opsB := recA.Ops(), recB.Ops()
-	out := &huntOutcome{ops: len(opsA) + len(opsB)}
-	if n := recA.Collisions() + recB.Collisions(); n > 0 {
-		out.violations = append(out.violations, history.Violation{
-			Guarantee: "history-integrity",
-			Detail:    fmt.Sprintf("%d client-label collisions — the recorded history is untrustworthy", n),
-		})
-	}
-	out.violations = append(out.violations, history.CheckSessionGuarantees(opsA)...)
-	out.violations = append(out.violations, history.CheckCrossObjectWFR(opsA)...)
-	out.violations = append(out.violations, history.CheckCausalCut(opsA)...)
-	linVs, inconclusive := history.CheckRegisters(opsA, 0)
-	out.violations = append(out.violations, linVs...)
-	out.inconclusive = inconclusive
-	out.violations = append(out.violations, history.CheckCausalCut(opsB)...)
+	session, lin, inconclusive := checkHistory(opsA, recA.Collisions()+recB.Collisions(), "registers")
+	out := &huntOutcome{ops: len(opsA) + len(opsB), inconclusive: inconclusive}
+	out.violations = append(append(session, lin...), history.CheckCausalCut(opsB)...)
 
 	sum := sha256.New()
 	sum.Write(history.SerializeOps(opsA))

@@ -12,7 +12,6 @@ import (
 	"correctables/internal/cassandra"
 	"correctables/internal/core"
 	"correctables/internal/faults"
-	"correctables/internal/history"
 	"correctables/internal/load"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
@@ -119,13 +118,6 @@ func (res *OverloadResult) Tracer() (*trace.Tracer, *trace.Registry) {
 	return res.Modes[len(res.Modes)-1].Tracer()
 }
 
-// overloadOp is one measured operation's record.
-type overloadOp struct {
-	start, end time.Duration
-	err        error
-	degraded   bool
-}
-
 // overloadParams fixes the scenario's knobs in one place so both modes run
 // the identical workload.
 type overloadParams struct {
@@ -210,11 +202,11 @@ func Overload(cfg Config) (*OverloadResult, error) {
 	return res, nil
 }
 
-// runOverloadMode runs the scenario once on a fresh fabric.
+// runOverloadMode runs the scenario once on a fresh world.
 func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode, error) {
-	h := newHarness(cfg)
-	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
-	cluster.SetTrace(h.trc)
+	w := newWorld(cfg)
+	cluster := w.newCassandra(cassandraOpts{correctable: true})
+	cluster.SetTrace(w.trc)
 	val := make([]byte, 128)
 	for i := range val {
 		val[i] = byte('a' + i%26)
@@ -229,8 +221,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	var gate *load.Controller
 	if shedding {
 		coord := cluster.Replica(netsim.FRK).Server()
-		gate = load.NewController(load.Config{
-			Clock:             h.clock,
+		gate = w.gate(load.Config{
 			PerClientRate:     150,
 			PerClientBurst:    30,
 			Sample:            coord.QueueDelay,
@@ -243,23 +234,17 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 			DegradeToWeak:     true,
 			EnterAfter:        2,
 			ExitAfter:         4,
-			Meter:             h.meter,
 		})
-		gate.Start()
 	}
 
 	// The measured population: IRL session clients on the FRK coordinator
 	// (remote contact), each with the per-attempt timeout and the retry
 	// policy that makes storms possible. Sessions + recorder give the
 	// history the checkers verify.
-	recorder := history.NewRecorder()
 	sessions := make([]*binding.Session, p.sessions)
 	for i := 0; i < p.sessions; i++ {
 		cc := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
 		opts := []binding.Option{
-			binding.WithObserver(recorder),
-			binding.WithTracer(h.trc),
-			binding.WithLabel(fmt.Sprintf("ovl-%02d", i)),
 			binding.WithOpTimeout(p.opTimeout),
 			binding.WithRetry(binding.RetryPolicy{
 				Max:    p.retryMax,
@@ -268,32 +253,19 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 				Jitter: 0.5,
 				Seed:   cfg.Seed + 1000 + int64(i),
 				OnRetry: func(int, time.Duration, error) {
-					h.meter.AccountRetried(netsim.LinkClient)
+					w.meter.AccountRetried(netsim.LinkClient)
 				},
 			}),
 		}
 		if gate != nil {
 			opts = append(opts, binding.WithAdmission(gate))
 		}
-		bc := binding.NewClient(
-			cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 2}), opts...)
-		sessions[i] = binding.NewSession(bc)
+		sessions[i] = w.session(cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 2}),
+			fmt.Sprintf("ovl-%02d", i), opts...)
 	}
 
-	// Cumulative admission-outcome probes at phase boundaries (same
-	// cumulative-then-diff pattern as the fault study's dropped counters).
-	type loadProbe struct{ rejected, shed, retried int64 }
-	probes := make([]loadProbe, len(p.phases))
-	snapLoad := func() loadProbe {
-		s := h.meter.SnapshotLoad()[netsim.LinkClient]
-		return loadProbe{rejected: s.Rejected, shed: s.Shed, retried: s.Retried}
-	}
-	for i, ph := range p.phases {
-		i := i
-		h.clock.RunAt(ph.End, func() { probes[i] = snapLoad() })
-	}
-
-	g := h.clock.NewGroup()
+	// Cumulative admission-outcome probes at phase boundaries.
+	probe := w.probePhases(p.phases, nil)
 
 	// Background writers on the IRL coordinator create cross-coordinator
 	// staleness on the measured keyspace: without them a degraded weak read
@@ -304,13 +276,8 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	for t := 0; t < 2; t++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7_777_777 + int64(t)*1_000_003))
 		bg := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < p.horizon {
-				_ = bg.Write(overloadKey(rng.Intn(p.keys)), val, 1)
-				h.clock.Sleep(10 * time.Millisecond)
-			}
+		w.until(p.horizon, 10*time.Millisecond, func() {
+			_ = bg.Write(overloadKey(rng.Intn(p.keys)), val, 1)
 		})
 	}
 
@@ -322,37 +289,35 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	var (
 		mu       sync.Mutex
 		arrivals int
-		records  []overloadOp
+		records  []opRecord
 		rng      = rand.New(rand.NewSource(cfg.Seed + 17))
 	)
 
 	// The sampled time-series (Config.Trace): the coordinator's queueing
 	// delay is the storm itself; in-flight ops show the retry amplification;
 	// the admission gauges (shedding mode) show the AIMD controller reacting.
-	if h.reg != nil {
-		coord := cluster.Replica(netsim.FRK).Server()
-		h.reg.Gauge("coord_queue_delay_ms", func() float64 {
-			return metrics.Ms(coord.QueueDelay())
+	coord := cluster.Replica(netsim.FRK).Server()
+	w.reg.Gauge("coord_queue_delay_ms", func() float64 {
+		return metrics.Ms(coord.QueueDelay())
+	})
+	w.reg.Gauge("inflight_ops", func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return float64(arrivals - len(records))
+	})
+	w.reg.Gauge("retried_attempts", func() float64 {
+		return float64(w.meter.Load(netsim.LinkClient).Retried)
+	})
+	if gate != nil {
+		w.reg.Gauge("admit_rate", gate.AdmitRate)
+		w.reg.Gauge("degraded", func() float64 {
+			if gate.Degraded() {
+				return 1
+			}
+			return 0
 		})
-		h.reg.Gauge("inflight_ops", func() float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return float64(arrivals - len(records))
-		})
-		h.reg.Gauge("retried_attempts", func() float64 {
-			return float64(h.meter.Load(netsim.LinkClient).Retried)
-		})
-		if gate != nil {
-			h.reg.Gauge("admit_rate", gate.AdmitRate)
-			h.reg.Gauge("degraded", func() float64 {
-				if gate.Degraded() {
-					return 1
-				}
-				return 0
-			})
-		}
-		h.startSampling(p.horizon)
 	}
+	w.startSampling(p.horizon)
 
 	ctx := context.Background()
 	fire := func(int) {
@@ -362,42 +327,35 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 		key := overloadKey(rng.Intn(p.keys))
 		isRead := rng.Float64() < 0.85
 		mu.Unlock()
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			rec := overloadOp{start: h.clock.Now()}
+		w.spawn(func() {
+			rec := opRecord{start: w.clock.Now()}
 			if isRead {
 				v, err := sess.Get(ctx, key, core.LevelStrong).Final(ctx)
 				rec.err = err
 				rec.degraded = err == nil && v.Level != core.LevelStrong
 			} else {
-				_, err := sess.Put(ctx, key, val).Final(ctx)
-				rec.err = err
+				_, rec.err = sess.Put(ctx, key, val).Final(ctx)
 			}
-			rec.end = h.clock.Now()
+			rec.end = w.clock.Now()
 			mu.Lock()
 			records = append(records, rec)
 			mu.Unlock()
 		})
 	}
-	load.Start(h.clock, load.NewPoisson(p.baselineRate, cfg.Seed+11), p.horizon, fire)
+	load.Start(w.clock, load.NewPoisson(p.baselineRate, cfg.Seed+11), p.horizon, fire)
 	burstStart := p.phases[1].Start
 	burstLen := p.phases[1].End - p.phases[1].Start
-	h.clock.RunAt(burstStart, func() {
+	w.clock.RunAt(burstStart, func() {
 		// OnOff with one on-window inside the horizon: the burst, then
 		// silence — the recovery question is what happens after its edge.
-		load.Start(h.clock, load.NewOnOff(p.burstRate, burstLen, p.horizon, cfg.Seed+13),
+		load.Start(w.clock, load.NewOnOff(p.burstRate, burstLen, p.horizon, cfg.Seed+13),
 			p.phases[1].End, fire)
 	})
 
-	g.Wait()
-	if gate != nil {
-		gate.Stop()
-	}
-	h.drain()
+	w.finish()
 	// Late retries and drains may run past the horizon; fold the final
 	// totals into the last phase's probe.
-	probes[len(probes)-1] = snapLoad()
+	probe.settle()
 
 	modeName := "shedding-off"
 	if shedding {
@@ -405,43 +363,34 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	}
 	mode := &OverloadMode{Mode: modeName, Shedding: shedding}
 
-	// Bucket records into phases: completions by start, failures by end.
-	for i, ph := range p.phases {
-		row := OverloadRow{Phase: ph.Name, StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End)}
+	// Offered arrivals by start phase; outcomes by at() (completions by
+	// start, failures by end).
+	offered := make([]int64, len(p.phases))
+	for _, rec := range records {
+		offered[phaseOf(p.phases, rec.start)]++
+	}
+	for i, recs := range (ledger{records}).byPhase(p.phases) {
+		ph := p.phases[i]
+		row := OverloadRow{Phase: ph.Name, StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End), Offered: offered[i]}
 		final := metrics.NewHistogram()
-		for _, rec := range records {
-			if rec.err == nil {
-				if phaseOf(p.phases, rec.start) != i {
-					continue
-				}
+		for _, rec := range recs {
+			switch {
+			case rec.err == nil:
 				row.Completed++
 				final.Record(rec.end - rec.start)
 				if rec.degraded {
 					row.Degraded++
 				}
-			} else if phaseOf(p.phases, rec.end) == i {
-				switch {
-				case errors.Is(rec.err, load.ErrRejected):
-					row.RejectedOps++
-				case errors.Is(rec.err, faults.ErrUnreachable):
-					row.TimedOut++
-				default:
-					row.SessionErrs++
-				}
+			case errors.Is(rec.err, load.ErrRejected):
+				row.RejectedOps++
+			case errors.Is(rec.err, faults.ErrUnreachable):
+				row.TimedOut++
+			default:
+				row.SessionErrs++
 			}
 		}
-		for _, rec := range records {
-			if phaseOf(p.phases, rec.start) == i {
-				row.Offered++
-			}
-		}
-		var prev loadProbe
-		if i > 0 {
-			prev = probes[i-1]
-		}
-		row.Rejected = probes[i].rejected - prev.rejected
-		row.Shed = probes[i].shed - prev.shed
-		row.Retried = probes[i].retried - prev.retried
+		d := probe.delta(i)
+		row.Rejected, row.Shed, row.Retried = d.load.Rejected, d.load.Shed, d.load.Retried
 		row.GoodputOps = float64(row.Completed) / (ph.End - ph.Start).Seconds()
 		row.FinalMeanMs = metrics.Ms(final.Mean())
 		row.FinalP99Ms = metrics.Ms(final.Percentile(99))
@@ -459,11 +408,11 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	}
 	mode.RecoveredGoodputPct = mode.Rows[3].GoodputPct
 
-	mode.Traced = h.observe(p.phases)
+	mode.Traced = w.observe(p.phases)
 
 	// The always-on history check, with the default checker set (session
 	// guarantees, cross-object WFR, causal-cut).
-	mode.Check = buildCheckReport(recorder, p.sessions, "")
+	mode.Check = buildCheckReport(w.rec, p.sessions, "")
 	return mode, nil
 }
 

@@ -80,7 +80,7 @@ func TestFailoverAcrossSeedSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			run := func() *FailoverResult {
-				res, err := Failover(Config{Seed: seed, Quick: true, Check: true})
+				res, err := Failover(Config{Seed: seed, Quick: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -97,7 +97,7 @@ func Sweep(cfg Config) *SweepResult {
 	dur := cfg.pickDur(6*time.Second, 800*time.Millisecond) // model time
 	warmup := cfg.pickDur(1*time.Second, 100*time.Millisecond)
 	threads := cfg.pick(12, 6)
-	w := workloadByName("B", ycsb.DistZipfian, 1000, 1024)
+	wl := workloadByName("B", ycsb.DistZipfian, 1000, 1024)
 
 	res := &SweepResult{
 		Description: "CC read latency vs quorum size and RTT geography (YCSB-B, 3 regions, RF=3)",
@@ -107,15 +107,15 @@ func Sweep(cfg Config) *SweepResult {
 		Seed:        cfg.Seed,
 	}
 	cell := func(geoName string, scale float64, quorum, shards int) {
-		h := newHarnessWith(cfg, scaledLatencies(scale))
-		cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, shards: shards})
-		preloadDataset(cluster, w)
-		results := runGroups(cluster, w, quorum, true, threads/3, ycsb.Options{
+		w := newWorldWith(cfg, scaledLatencies(scale))
+		cluster := w.newCassandra(cassandraOpts{correctable: true, shards: shards})
+		preloadDataset(cluster, wl)
+		results := w.runGroups(cluster, wl, quorum, true, threads/3, ycsb.Options{
 			Duration: dur,
 			Warmup:   warmup,
 			Seed:     cfg.Seed,
 		})
-		h.drain()
+		w.finish()
 		var total float64
 		for _, r := range results {
 			total += r.ThroughputOps

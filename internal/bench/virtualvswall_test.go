@@ -12,15 +12,15 @@ import (
 // load of Fig 6 — for 2s of model time) and returns total attained
 // throughput in ops per model second.
 func saturationSweep(cfg Config) float64 {
-	w := workloadByName("A", ycsb.DistZipfian, 1000, 1024)
-	h := newHarness(cfg)
-	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
-	preloadDataset(cluster, w)
-	results := runGroups(cluster, w, 2, true, 4, ycsb.Options{
+	wl := workloadByName("A", ycsb.DistZipfian, 1000, 1024)
+	w := newWorld(cfg)
+	cluster := w.newCassandra(cassandraOpts{correctable: true})
+	preloadDataset(cluster, wl)
+	results := w.runGroups(cluster, wl, 2, true, 4, ycsb.Options{
 		Duration: 2 * time.Second,
 		Seed:     cfg.Seed,
 	})
-	h.drain()
+	w.finish()
 	var tp float64
 	for _, r := range results {
 		tp += r.ThroughputOps

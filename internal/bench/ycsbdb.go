@@ -82,9 +82,10 @@ func defaultGroups(cluster *cassandra.Cluster) []clientGroup {
 	return groups
 }
 
-// runGroups drives the workload from all client groups concurrently and
-// returns the per-group results in group order.
-func runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, prelim bool,
+// runGroups drives the workload from all client groups concurrently as
+// actors of the world. It returns the per-group results in group order,
+// filled in once the world finishes.
+func (w *world) runGroups(cluster *cassandra.Cluster, wl ycsb.Workload, quorum int, prelim bool,
 	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
 	groups := defaultGroups(cluster)
 	results := make([]*ycsb.Result, len(groups))
@@ -92,22 +93,16 @@ func runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, prelim b
 	// of the workload, not per-region ones. (With per-group Latest anchors,
 	// every group would chase its own writes — which its own coordinator
 	// serves fresh — and divergence would vanish.)
-	shared := w.NewGenerator()
-	clock := cluster.Transport().Clock()
-	wg := clock.NewGroup()
+	shared := wl.NewGenerator()
 	for i, g := range groups {
-		i, g := i, g
 		db := newCassandraDB(cluster, g.clientRegion, g.coordRegion, quorum, prelim)
 		groupOpts := opts
 		groupOpts.Threads = threadsPerGroup
 		groupOpts.Seed = opts.Seed + int64(i)*77
 		groupOpts.Generator = shared
-		wg.Add(1)
-		clock.Go(func() {
-			defer wg.Done()
-			results[i] = ycsb.Run(w, db, clock, groupOpts)
+		w.spawn(func() {
+			results[i] = ycsb.Run(wl, db, w.clock, groupOpts)
 		})
 	}
-	wg.Wait()
 	return results
 }
