@@ -34,9 +34,10 @@
 //
 // Every operation declares its result type: Get yields []byte, Put yields
 // Ack, Enqueue/Dequeue yield Item. Invoke[T] accepts any OperationFor[T],
-// so the compiler connects the operation to the view type. The per-store
-// facades (cassandra.KV, causal.KV, zk.Queue) wrap this once more, giving
-// method-style access (kv.Get(ctx, key) → *Correctable[[]byte]).
+// so the compiler connects the operation to the view type. The typed
+// facades (binding.KV for cassandra and causal, zk.Queue) wrap this once
+// more, giving method-style access (kv.Get(ctx, key) →
+// *Correctable[[]byte]).
 //
 // # Sessions and observers
 //

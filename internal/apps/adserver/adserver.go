@@ -118,7 +118,7 @@ type FetchOutcome struct {
 
 // Service serves ads from a cassandra-backed store.
 type Service struct {
-	kv    *cassandra.KV
+	kv    *binding.KV
 	clock netsim.Clock
 	// MaxAdsPerRequest caps how many referenced ads are actually fetched
 	// per request (a realistic page size; keeps load experiments bounded).
@@ -128,7 +128,7 @@ type Service struct {
 // NewService builds a service over a cassandra binding.
 func NewService(b *cassandra.Binding) *Service {
 	return &Service{
-		kv:               cassandra.NewKV(b),
+		kv:               binding.NewKV(b),
 		clock:            b.Client().Cluster().Transport().Clock(),
 		MaxAdsPerRequest: 5,
 	}

@@ -39,14 +39,14 @@ type Update struct {
 
 // Reader is the news reader app over a cache+causal binding.
 type Reader struct {
-	kv    *causal.KV
+	kv    *binding.KV
 	clock netsim.Clock
 }
 
 // NewReader builds a reader over a causal-store binding.
 func NewReader(b *causal.Binding) *Reader {
 	return &Reader{
-		kv:    causal.NewKV(b),
+		kv:    binding.NewKV(b),
 		clock: b.Client().Store().Config().Transport.Clock(),
 	}
 }

@@ -116,7 +116,7 @@ type TimelineOutcome struct {
 // consistency level — while other users keep the cheap eventually
 // consistent views.
 type Service struct {
-	kv    *cassandra.KV
+	kv    *binding.KV
 	clock netsim.Clock
 
 	mu       sync.Mutex
@@ -127,7 +127,7 @@ type Service struct {
 // underlying client (observers, op timeout, label).
 func NewService(b *cassandra.Binding, opts ...binding.Option) *Service {
 	return &Service{
-		kv:       cassandra.NewKV(b, opts...),
+		kv:       binding.NewKV(b, opts...),
 		clock:    b.Client().Cluster().Transport().Clock(),
 		sessions: map[int]*binding.Session{},
 	}

@@ -331,7 +331,7 @@ func runHuntWorld(hw huntWorld) *huntOutcome {
 		if i%2 == 1 {
 			region = netsim.VRG
 		}
-		kv := causal.NewKV(causal.NewBinding(causal.NewClient(st, region)),
+		kv := binding.NewKV(causal.NewBinding(causal.NewClient(st, region)),
 			binding.WithObserver(ladderRec),
 			binding.WithLabel(fmt.Sprintf("cau-%02d", i)))
 		rng := rand.New(rand.NewSource(hw.Seed + 500_009*int64(i) + 13))

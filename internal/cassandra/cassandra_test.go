@@ -404,7 +404,7 @@ func TestBindingInvokeICG(t *testing.T) {
 	cluster, _, _ := newTestCluster(t, true, true)
 	cluster.Preload("k", []byte("data"))
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 	cor := kv.Get(context.Background(), "k")
 	v, err := cor.Final(context.Background())
 	if err != nil {
@@ -423,7 +423,7 @@ func TestBindingInvokeWeakAndStrong(t *testing.T) {
 	cluster, _, _ := newTestCluster(t, true, true)
 	cluster.Preload("k", []byte("data"))
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 
 	cw := kv.GetWeak(context.Background(), "k")
 	vw, err := cw.Final(context.Background())
@@ -447,7 +447,7 @@ func TestBindingInvokeWeakAndStrong(t *testing.T) {
 func TestBindingPut(t *testing.T) {
 	cluster, _, _ := newTestCluster(t, true, true)
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 	if _, err := kv.Put(context.Background(), "k", []byte("v")).Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestBindingPut(t *testing.T) {
 func TestBindingUnsupportedOp(t *testing.T) {
 	cluster, _, _ := newTestCluster(t, true, true)
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 	if _, err := binding.Invoke[binding.Item](context.Background(), kv.Client(), binding.Dequeue{Queue: "q"}).Final(context.Background()); err == nil {
 		t.Error("dequeue on cassandra should fail")
 	}
@@ -471,7 +471,7 @@ func TestBindingVanillaICGFallback(t *testing.T) {
 	cluster, _, _ := newTestCluster(t, false, false)
 	cluster.Preload("k", []byte("data"))
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 	cor := kv.Get(context.Background(), "k")
 	if _, err := cor.Final(context.Background()); err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestBindingReadViewsArePrivate(t *testing.T) {
 	for _, correctable := range []bool{true, false} {
 		cluster, _, _ := newTestCluster(t, correctable, true)
 		cluster.Preload("k", []byte("data"))
-		kv := NewKV(NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{}))
+		kv := binding.NewKV(NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{}))
 		for _, cor := range []*core.Correctable[[]byte]{
 			kv.Get(context.Background(), "k"),
 			kv.GetWeak(context.Background(), "k"),

@@ -91,7 +91,7 @@ func TestBindingThreeLevels(t *testing.T) {
 	s.Preload("news", []byte("old-headline"))
 	c := NewClient(s, netsim.IRL)
 	b := NewBinding(c)
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 
 	// First access: cache is cold, so only causal + strong views arrive.
 	cor := kv.Get(context.Background(), "news")
@@ -125,7 +125,7 @@ func TestBindingCacheLatencyNearZero(t *testing.T) {
 	s.Preload("k", []byte("v"))
 	c := NewClient(s, netsim.IRL)
 	b := NewBinding(c)
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 	// Warm the cache.
 	if _, err := kv.GetStrong(context.Background(), "k").Final(context.Background()); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestBindingWriteThroughCoherence(t *testing.T) {
 	s, _ := newTestStore(t)
 	c := NewClient(s, netsim.IRL)
 	b := NewBinding(c)
-	kv := NewKV(b)
+	kv := binding.NewKV(b)
 	if _, err := kv.Put(context.Background(), "k", []byte("mine")).Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestBindingStaleCacheFreshFinal(t *testing.T) {
 	s.Preload("k", []byte("v0"))
 	reader := NewClient(s, netsim.IRL)
 	b := NewBinding(reader)
-	rkv := NewKV(b)
+	rkv := binding.NewKV(b)
 	// Warm reader's cache with v0.
 	if _, err := rkv.GetStrong(context.Background(), "k").Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Another client writes v1.
 	writer := NewClient(s, netsim.FRK)
-	wkv := NewKV(NewBinding(writer))
+	wkv := binding.NewKV(NewBinding(writer))
 	if _, err := wkv.Put(context.Background(), "k", []byte("v1")).Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBindingUnsupportedOp(t *testing.T) {
 
 func TestCacheMissOnCacheOnlyRequest(t *testing.T) {
 	s, _ := newTestStore(t)
-	kv := NewKV(NewBinding(NewClient(s, netsim.IRL)))
+	kv := binding.NewKV(NewBinding(NewClient(s, netsim.IRL)))
 	cor := kv.Get(context.Background(), "absent", core.LevelCache)
 	v, err := cor.Final(context.Background())
 	if err != nil {
@@ -227,7 +227,7 @@ func TestCacheMissOnCacheOnlyRequest(t *testing.T) {
 func TestBindingCausalViewNeverRegressesBehindCache(t *testing.T) {
 	s, _ := newTestStore(t)
 	c := NewClient(s, netsim.IRL)
-	kv := NewKV(NewBinding(c))
+	kv := binding.NewKV(NewBinding(c))
 	ctx := context.Background()
 
 	// Write through the primary: the cache holds the newest value while the

@@ -1,14 +1,12 @@
 // Package metrics provides the measurement primitives the benchmark harness
 // uses: latency histograms (average and percentiles, as reported in the
-// paper's figures), counters, and throughput accounting.
+// paper's figures) and throughput accounting.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -150,50 +148,8 @@ func (h *Histogram) sortLocked() {
 	}
 }
 
-// Summary is a value snapshot of a histogram.
-type Summary struct {
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-	Min   time.Duration
-	Max   time.Duration
-}
-
-// Summarize computes a Summary.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P99:   h.Percentile(99),
-		Min:   h.Min(),
-		Max:   h.Max(),
-	}
-}
-
-// String renders a Summary compactly in milliseconds.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1fms p50=%.1fms p99=%.1fms",
-		s.Count, Ms(s.Mean), Ms(s.P50), Ms(s.P99))
-}
-
 // Ms converts a duration to float milliseconds (figure axes).
 func Ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// Counter is an atomic event counter.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds delta.
-func (c *Counter) Add(delta int64) { c.n.Add(delta) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Ratio returns c/total as a fraction, or 0 when total is zero.
 func Ratio(c, total int64) float64 {

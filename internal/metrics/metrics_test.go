@@ -91,28 +91,6 @@ func TestPropertyHistogramInvariants(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	h := NewHistogram()
-	h.Record(10 * time.Millisecond)
-	h.Record(20 * time.Millisecond)
-	s := h.Summarize()
-	if s.Count != 2 || s.Mean != 15*time.Millisecond || s.Min != 10*time.Millisecond || s.Max != 20*time.Millisecond {
-		t.Errorf("Summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d", c.Value())
-	}
-}
-
 func TestRatioAndThroughput(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Error("Ratio with zero total should be 0")

@@ -23,9 +23,9 @@ import (
 // primitives. Under a VirtualClock, spawned actors are coroutines on
 // pooled workers, resumed one at a time by a dispatch loop that runs on
 // the root goroutine while the root is parked, and callbacks run inline
-// on the root. A goroutine that must block on something foreign (an
-// unconverted channel, an external process) has to bracket the wait with
-// BlockOn, at the price of determinism for that wait.
+// on the root. An actor that blocks on anything else (a bare channel, an
+// external process) never yields back to a VirtualClock's dispatcher and
+// freezes the simulation.
 //
 // The actor-vs-callback rule: work that blocks mid-flight (multi-hop
 // protocol logic, server-slot queueing) needs an actor — Go gives it a
@@ -53,9 +53,6 @@ type Clock interface {
 	// RunAfter schedules fn to run after model duration d without spawning
 	// an actor. fn must not block; see the type comment.
 	RunAfter(d time.Duration, fn func())
-	// BlockOn runs wait (which may block on non-clock primitives) while the
-	// rest of the simulation continues. Escape hatch; see the type comment.
-	BlockOn(wait func())
 	// NewEvent returns a one-shot broadcast usable by actors of this clock.
 	NewEvent() Event
 	// NewQueue returns an unbounded FIFO usable by actors of this clock.
@@ -216,9 +213,6 @@ func (c *WallClock) RunAfter(d time.Duration, fn func()) {
 	}
 	time.AfterFunc(c.ToWall(d), fn)
 }
-
-// BlockOn implements Clock: wall actors may block on anything.
-func (c *WallClock) BlockOn(wait func()) { wait() }
 
 // NewEvent implements Clock.
 func (c *WallClock) NewEvent() Event { return &wallEvent{ch: make(chan struct{})} }

@@ -27,9 +27,9 @@ import (
 // interleave with actor wakeups in the same (deadline, arming sequence)
 // order, so converting fire-and-forget actors to callbacks does not
 // perturb determinism. The price is a discipline: a callback must not
-// block. A call to Sleep, Event.Wait, Queue.Get, Group.Wait, BlockOn, or
-// Drain from inside a callback panics if it would actually park (fail
-// fast, like the deadlock check); calls that are satisfied immediately —
+// block. A call to Sleep, Event.Wait, Queue.Get, Group.Wait or Drain from
+// inside a callback panics if it would actually park (fail fast, like the
+// deadlock check); calls that are satisfied immediately —
 // a Get on a non-empty queue, a Wait on a fired event, a Sleep to the
 // past — return without parking and are not detected, so do not lean on
 // the panic to find violations: keep callbacks free of these calls
@@ -38,10 +38,10 @@ import (
 // still needs an actor: spawn one with Go from inside the callback if
 // necessary.
 //
-// Discipline (see the Clock interface comment): spawn actors with Go, block
-// only through the clock, and use BlockOn around any foreign blocking. An
-// actor that blocks on a bare channel without BlockOn freezes the whole
-// simulation, since it never yields back to the dispatcher.
+// Discipline (see the Clock interface comment): spawn actors with Go and
+// block only through the clock. An actor that blocks on a bare channel
+// freezes the whole simulation, since it never yields back to the
+// dispatcher.
 //
 // Deadlock and callback-must-not-block panics are raised on the root
 // goroutine, and so is an actor's panic (with its original value): all of
@@ -57,14 +57,13 @@ import (
 // live in a concrete 4-ary heap of value entries (no container/heap
 // boxing).
 type VirtualClock struct {
-	mu       sync.Mutex
-	now      time.Duration
-	seq      uint64
-	timers   timerHeap
-	ready    fifo[runnable]
-	blocked  int     // actors parked on events/queues/groups
-	detached int     // actors inside BlockOn
-	idler    *vactor // Drain caller, woken only at quiescence
+	mu      sync.Mutex
+	now     time.Duration
+	seq     uint64
+	timers  timerHeap
+	ready   fifo[runnable]
+	blocked int     // actors parked on events/queues/groups
+	idler   *vactor // Drain caller, woken only at quiescence
 	// inCallback is true while the dispatcher runs a callback timer;
 	// blocking operations fail fast when they see it (only the callback
 	// itself can observe the flag — no actor runs during a callback).
@@ -74,9 +73,6 @@ type VirtualClock struct {
 	// cur is the worker whose actor is running; nil while the root or a
 	// callback runs.
 	cur *worker
-	// rejoin wakes a dispatcher that waits at quiescence for a BlockOn
-	// caller to come back.
-	rejoin chan struct{}
 	// spawned counts Go calls, i.e. actors started. Benchmarks use it to
 	// prove the callback path starts zero actors per message.
 	spawned uint64
@@ -130,7 +126,7 @@ func (c *VirtualClock) checkCanBlockLocked(op string) {
 }
 
 // parkLocked suspends the caller, whose slot p is already registered where
-// it will be woken from (timer heap, waiter list, idler, BlockOn rejoin).
+// it will be woken from (timer heap, waiter list, idler).
 // An actor yields back to the dispatcher; the root runs the dispatcher
 // until its own slot comes up. Enters with c.mu held, returns with it
 // released once the caller is runnable again.
@@ -148,8 +144,7 @@ func (c *VirtualClock) parkLocked(p *vactor) {
 // the root itself is runnable again: ready actors first (FIFO), then the
 // earliest timer (advancing model time), then — only at full quiescence —
 // the Drain idler. Callback timers run inline, without the lock; actors
-// are resumed on their workers and run until they park or exit. While
-// BlockOn callers are out, quiescence means waiting for one to rejoin. If
+// are resumed on their workers and run until they park or exit. If
 // parked actors remain with nothing left that could ever wake them, that
 // is a deadlock and the simulation fails fast instead of hanging.
 //
@@ -177,11 +172,6 @@ func (c *VirtualClock) dispatchLocked() {
 				continue
 			}
 			r.p = e.p
-		case c.detached > 0:
-			c.mu.Unlock()
-			<-c.rejoin
-			c.mu.Lock()
-			continue
 		case c.idler != nil:
 			r.p, c.idler = c.idler, nil
 		default:
@@ -303,36 +293,6 @@ func (c *VirtualClock) Spawned() uint64 {
 	return c.spawned
 }
 
-// BlockOn implements Clock: wait runs on a helper goroutine while the
-// caller is parked outside the scheduler, so the simulation continues
-// (advancing time if needed). When wait returns, the caller rejoins the
-// ready set. The rejoin order depends on the host scheduler, so a BlockOn
-// wait is the one place where determinism is forfeited — keep it out of
-// measured paths.
-func (c *VirtualClock) BlockOn(wait func()) {
-	c.mu.Lock()
-	c.checkCanBlockLocked("BlockOn")
-	p, _ := c.selfLocked()
-	c.detached++
-	if c.rejoin == nil {
-		c.rejoin = make(chan struct{}, 1)
-	}
-	go func() {
-		wait()
-		c.mu.Lock()
-		c.detached--
-		c.ready.push(runnable{p: p})
-		c.mu.Unlock()
-		// Wake a dispatcher waiting at quiescence; if a wakeup is already
-		// pending, that one will see this rejoin too.
-		select {
-		case c.rejoin <- struct{}{}:
-		default:
-		}
-	}()
-	c.parkLocked(p)
-}
-
 // Drain runs the simulation until quiescence: every remaining actor has
 // either exited or parked on an event/queue that can no longer fire, no
 // timers are pending, and every queued callback has run to completion.
@@ -342,7 +302,7 @@ func (c *VirtualClock) BlockOn(wait func()) {
 // completion instead of leaving actors parked.
 func (c *VirtualClock) Drain() {
 	c.mu.Lock()
-	if c.ready.len() == 0 && c.timers.len() == 0 && c.detached == 0 {
+	if c.ready.len() == 0 && c.timers.len() == 0 {
 		c.mu.Unlock()
 		return
 	}

@@ -128,25 +128,6 @@ func TestVirtualDrainRunsBackgroundWork(t *testing.T) {
 	c.Drain() // idempotent on a quiescent clock
 }
 
-// TestVirtualBlockOn: a foreign wait detaches from the scheduler; the rest
-// of the simulation keeps running (and advancing time) meanwhile.
-func TestVirtualBlockOn(t *testing.T) {
-	c := NewVirtualClock()
-	ch := make(chan int, 1)
-	c.Go(func() {
-		c.Sleep(time.Second)
-		ch <- 42
-	})
-	var got int
-	c.BlockOn(func() { got = <-ch })
-	if got != 42 {
-		t.Errorf("got %d, want 42", got)
-	}
-	if c.Now() < time.Second {
-		t.Errorf("Now = %v, want >= 1s (time must advance during BlockOn)", c.Now())
-	}
-}
-
 // TestVirtualDeadlockPanics: an actor blocking on an event nobody can fire
 // is reported as a deadlock instead of hanging the test binary.
 func TestVirtualDeadlockPanics(t *testing.T) {
@@ -412,35 +393,6 @@ func TestVirtualQueueBacklogMemoryBounded(t *testing.T) {
 	}
 	for i := 0; i < depth; i++ {
 		q.Get()
-	}
-}
-
-// TestVirtualBlockOnFromActor: a spawned actor may detach through BlockOn
-// while the root drains; the dispatcher keeps running the rest of the
-// simulation, waits for the rejoin at quiescence, and resumes the actor
-// inside the scheduler afterwards.
-func TestVirtualBlockOnFromActor(t *testing.T) {
-	c := NewVirtualClock()
-	ch := make(chan int, 1)
-	got, rejoinedAt := 0, time.Duration(-1)
-	c.Go(func() {
-		c.BlockOn(func() { got = <-ch })
-		rejoinedAt = c.Now()
-		c.Sleep(time.Millisecond) // back under the clock: parks normally
-	})
-	c.Go(func() {
-		c.Sleep(time.Second)
-		ch <- 42
-	})
-	c.Drain()
-	if got != 42 {
-		t.Errorf("got %d, want 42", got)
-	}
-	if rejoinedAt != time.Second {
-		t.Errorf("actor rejoined at %v, want 1s", rejoinedAt)
-	}
-	if now := c.Now(); now != time.Second+time.Millisecond {
-		t.Errorf("Now after drain = %v, want 1.001s", now)
 	}
 }
 

@@ -448,7 +448,7 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 // delivers synchronously with DeliverCommit (modeling the single
 // commit+reply message on that link).
 //
-// Fail-fast validation errors (bad version, missing node) return with
+// Fail-fast validation errors (missing or already existing node) return with
 // zxid 0 and no broadcast, like ZooKeeper's prep processor.
 func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult) {
 	leader := e.Leader()
@@ -513,10 +513,10 @@ func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult)
 	return zxid, epoch, res
 }
 
-// ForwardAndCommit models the contact->leader forwarding hop, runs the
+// forwardAndCommit models the contact->leader forwarding hop, runs the
 // proposal, and delivers the commit+result back to the contact server on a
 // single return message (the common client-request path).
-func (e *Ensemble) ForwardAndCommit(contact *Server, txn Txn) (uint64, TxnResult) {
+func (e *Ensemble) forwardAndCommit(contact *Server, txn Txn) (uint64, TxnResult) {
 	leader := e.Leader()
 	if contact != leader {
 		e.tr.Travel(contact.Region, leader.Region, netsim.LinkReplica, proposalSize(txn))

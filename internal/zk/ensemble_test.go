@@ -55,8 +55,7 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 	contact := e.Server(netsim.FRK)
 	const n = 10
 	for i := 0; i < n; i++ {
-		qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
-		zxid, res := qc.forwardAndCommit(contact, CreateTxn{Path: "/q/item-", Data: []byte{byte(i)}, Sequential: true})
+		zxid, res := e.forwardAndCommit(contact, CreateTxn{Path: "/q/item-", Data: []byte{byte(i)}, Sequential: true})
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -85,8 +84,7 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 func TestProposeFailFastNoCommit(t *testing.T) {
 	e, _, _ := newTestEnsemble(t, false, netsim.IRL)
 	contact := e.Server(netsim.FRK)
-	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
-	zxid, res := qc.forwardAndCommit(contact, DeleteTxn{Path: "/missing", Version: -1})
+	zxid, res := e.forwardAndCommit(contact, DeleteTxn{Path: "/missing"})
 	if !errors.Is(res.Err, ErrNoNode) {
 		t.Errorf("err = %v", res.Err)
 	}
@@ -163,7 +161,7 @@ func TestPropertyCommitOrderIndependence(t *testing.T) {
 		// sequence number i-1 and data byte i.
 		for i := 1; i <= n; i++ {
 			path := fmt.Sprintf("/q/q-%010d", i-1)
-			data, _, err := s.Tree().Get(path)
+			data, err := s.Tree().Get(path)
 			if err != nil || len(data) != 1 || data[0] != byte(i) {
 				return false
 			}

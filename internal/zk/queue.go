@@ -77,9 +77,8 @@ func (c *QueueClient) createQueue(queue string) error {
 	// here: it force-advances every server's applied watermark, and a queue
 	// can be created while protocol traffic is in flight — the jump would make
 	// followers discard committed transactions still on the wire.
-	_, _ = c.forwardAndCommit(contact, CreateTxn{Path: "/queues"})
-	zxid, res := c.forwardAndCommit(contact, CreateTxn{Path: dir})
-	_ = zxid
+	_, _ = c.ensemble.forwardAndCommit(contact, CreateTxn{Path: "/queues"})
+	_, res := c.ensemble.forwardAndCommit(contact, CreateTxn{Path: dir})
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(dir)))
 	return res.Err
 }
@@ -134,7 +133,7 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 		prelimDelivered.Fire()
 	}
 
-	zxid, res := c.forwardAndCommit(contact, CreateTxn{Path: prefix, Data: data, Sequential: true})
+	zxid, res := c.ensemble.forwardAndCommit(contact, CreateTxn{Path: prefix, Data: data, Sequential: true})
 	if res.Err != nil {
 		prelimDelivered.Wait()
 		return res.Err
@@ -216,12 +215,12 @@ func (c *QueueClient) dequeueCZK(queue string, wantPrelim bool, onView func(Queu
 		prelimDelivered.Fire()
 	}
 
-	zxid, res := c.forwardAndCommit(contact, DequeueMinTxn{Dir: dir})
+	zxid, res := c.ensemble.forwardAndCommit(contact, DequeueMinTxn{Dir: dir})
 	if res.Err != nil {
 		prelimDelivered.Wait()
 		return res.Err
 	}
-	confirmed := prelim.EqualValue(res.Element)
+	confirmed := sameElement(prelim, res.Element)
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(res.Element)))
 	prelimDelivered.Wait()
 	onView(QueueView{
@@ -260,7 +259,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		// getData for the head element.
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		data, _, err := contact.tree.Get(path)
+		data, err := contact.tree.Get(path)
 		if err != nil {
 			// Removed under us between the two reads; retry.
 			tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
@@ -271,7 +270,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		// delete through the ordered protocol.
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		zxid, res := c.forwardAndCommit(contact, DeleteTxn{Path: path, Version: -1})
+		zxid, res := c.ensemble.forwardAndCommit(contact, DeleteTxn{Path: path})
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
 		if res.Err != nil {
 			// Another consumer won the race (NoNode): retry from the top —
@@ -290,7 +289,11 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 	}
 }
 
-// forwardAndCommit delegates to the ensemble's common client-request path.
-func (c *QueueClient) forwardAndCommit(contact *Server, txn Txn) (uint64, TxnResult) {
-	return c.ensemble.ForwardAndCommit(contact, txn)
+// sameElement reports whether two queue elements (either may be nil for an
+// empty queue) name the same znode, ignoring payload copies.
+func sameElement(a, b *QueueElement) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Name == b.Name
 }

@@ -14,20 +14,20 @@ func TestTreeCreateGetDelete(t *testing.T) {
 	if _, err := tr.Create("/a", []byte("x"), false); err != nil {
 		t.Fatal(err)
 	}
-	data, ver, err := tr.Get("/a")
-	if err != nil || string(data) != "x" || ver != 0 {
-		t.Fatalf("Get = %q, %d, %v", data, ver, err)
+	data, err := tr.Get("/a")
+	if err != nil || string(data) != "x" {
+		t.Fatalf("Get = %q, %v", data, err)
 	}
 	if !tr.Exists("/a") {
 		t.Error("Exists(/a) = false")
 	}
-	if err := tr.Delete("/a", -1); err != nil {
+	if err := tr.Delete("/a"); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Exists("/a") {
 		t.Error("node survived delete")
 	}
-	if _, _, err := tr.Get("/a"); !errors.Is(err, ErrNoNode) {
+	if _, err := tr.Get("/a"); !errors.Is(err, ErrNoNode) {
 		t.Errorf("Get after delete = %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestTreeSequentialNames(t *testing.T) {
 		}
 	}
 	// The counter does not reuse numbers after deletion.
-	if err := tr.Delete("/q/item-0000000000", -1); err != nil {
+	if err := tr.Delete("/q/item-0000000000"); err != nil {
 		t.Fatal(err)
 	}
 	name, err := tr.Create("/q/item-", nil, true)
@@ -86,29 +86,10 @@ func TestTreeSequentialNames(t *testing.T) {
 	}
 }
 
-func TestTreeVersionChecks(t *testing.T) {
-	tr := NewTree()
-	if _, err := tr.Create("/a", []byte("v0"), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetData("/a", []byte("v1"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetData("/a", []byte("v2"), 0); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("stale version accepted: %v", err)
-	}
-	if err := tr.Delete("/a", 0); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("delete with stale version accepted: %v", err)
-	}
-	if err := tr.Delete("/a", 1); err != nil {
-		t.Errorf("delete with current version rejected: %v", err)
-	}
-}
-
 func TestTreeDeleteNonEmpty(t *testing.T) {
 	tr := NewTree()
 	_ = tr.EnsurePath("/a/b")
-	if err := tr.Delete("/a", -1); !errors.Is(err, ErrNotEmpty) {
+	if err := tr.Delete("/a"); !errors.Is(err, ErrNotEmpty) {
 		t.Errorf("delete of non-empty node = %v", err)
 	}
 }
@@ -182,7 +163,7 @@ func TestPropertyFirstChildMatchesChildren(t *testing.T) {
 			if op%3 == 0 {
 				kids, _ := tr.Children("/q")
 				if len(kids) > 0 {
-					_ = tr.Delete("/q/"+kids[int(op)%len(kids)], -1)
+					_ = tr.Delete("/q/" + kids[int(op)%len(kids)])
 				}
 			} else {
 				_, _ = tr.Create("/q/q-", []byte{op}, true)
@@ -207,25 +188,6 @@ func TestPropertyFirstChildMatchesChildren(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQueueElementEqualValue(t *testing.T) {
-	a := &QueueElement{Name: "q-1", Seq: 1, Data: []byte("x")}
-	b := &QueueElement{Name: "q-1", Seq: 1, Data: []byte("different")}
-	c := &QueueElement{Name: "q-2", Seq: 2}
-	if !a.EqualValue(b) {
-		t.Error("same-name elements should be equal")
-	}
-	if a.EqualValue(c) {
-		t.Error("different-name elements should differ")
-	}
-	var nilElem *QueueElement
-	if nilElem.EqualValue(a) || !nilElem.EqualValue(nilElem) {
-		t.Error("nil element comparisons broken")
-	}
-	if a.EqualValue("not an element") {
-		t.Error("cross-type comparison should be false")
 	}
 }
 

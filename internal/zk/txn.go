@@ -20,9 +20,7 @@ type TxnResult struct {
 	// Remaining is the number of elements left in the queue after a
 	// DequeueMinTxn.
 	Remaining int
-	// RemovedPaths lists the znodes a CloseSessionTxn removed.
-	RemovedPaths []string
-	// Err is the operation error (ErrNoNode, ErrBadVersion, ...); a failed
+	// Err is the operation error (ErrNoNode, ErrNodeExists, ...); a failed
 	// transaction is still a deterministic no-op everywhere.
 	Err error
 }
@@ -36,19 +34,6 @@ type QueueElement struct {
 	Seq uint64
 	// Data is the element payload.
 	Data []byte
-}
-
-// EqualValue lets QueueElement participate in Correctable divergence checks
-// by identity (name), ignoring payload copies.
-func (e *QueueElement) EqualValue(other interface{}) bool {
-	o, ok := other.(*QueueElement)
-	if !ok {
-		return false
-	}
-	if e == nil || o == nil {
-		return e == o
-	}
-	return e.Name == o.Name
 }
 
 // seqOf parses the trailing sequence number of a sequential znode name.
@@ -71,52 +56,36 @@ type Txn interface {
 	PayloadSize() int
 }
 
-// CreateTxn creates a znode (optionally sequential; a non-empty Owner makes
-// it ephemeral, removed when that session closes).
+// CreateTxn creates a znode (optionally sequential).
 type CreateTxn struct {
 	Path       string
 	Data       []byte
 	Sequential bool
-	Owner      string
 }
 
 // Apply implements Txn.
 func (x CreateTxn) Apply(t *Tree) TxnResult {
-	created, err := t.CreateOwned(x.Path, x.Data, x.Sequential, x.Owner)
+	created, err := t.Create(x.Path, x.Data, x.Sequential)
 	return TxnResult{CreatedPath: created, Err: err}
 }
 
 // PayloadSize implements Txn.
 func (x CreateTxn) PayloadSize() int { return len(x.Path) + len(x.Data) }
 
-// DeleteTxn removes a znode, optionally guarded by a version.
+// DeleteTxn removes a znode.
 type DeleteTxn struct {
-	Path    string
-	Version int32
+	Path string
 }
 
 // Apply implements Txn.
 func (x DeleteTxn) Apply(t *Tree) TxnResult {
-	return TxnResult{Err: t.Delete(x.Path, x.Version)}
+	return TxnResult{Err: t.Delete(x.Path)}
 }
 
-// PayloadSize implements Txn.
+// PayloadSize implements Txn. ZooKeeper's delete request carries a 4-byte
+// znode version on the wire (-1 for "any"), so it is charged here even
+// though the model never checks versions.
 func (x DeleteTxn) PayloadSize() int { return len(x.Path) + 4 }
-
-// SetDataTxn replaces a znode's data.
-type SetDataTxn struct {
-	Path    string
-	Data    []byte
-	Version int32
-}
-
-// Apply implements Txn.
-func (x SetDataTxn) Apply(t *Tree) TxnResult {
-	return TxnResult{Err: t.SetData(x.Path, x.Data, x.Version)}
-}
-
-// PayloadSize implements Txn.
-func (x SetDataTxn) PayloadSize() int { return len(x.Path) + len(x.Data) + 4 }
 
 // DequeueMinTxn atomically removes the head (smallest sequential child) of
 // a queue directory and returns it. This is the CZK server-side dequeue:
@@ -135,7 +104,7 @@ func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
 	if name == "" {
 		return TxnResult{Element: nil, Remaining: 0}
 	}
-	if err := t.Delete(x.Dir+"/"+name, -1); err != nil {
+	if err := t.Delete(x.Dir + "/" + name); err != nil {
 		return TxnResult{Err: err}
 	}
 	return TxnResult{
@@ -147,27 +116,11 @@ func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
 // PayloadSize implements Txn.
 func (x DequeueMinTxn) PayloadSize() int { return len(x.Dir) }
 
-// CloseSessionTxn removes every ephemeral znode owned by a session — the
-// replicated half of session teardown/expiry.
-type CloseSessionTxn struct {
-	SessionID string
-}
-
-// Apply implements Txn.
-func (x CloseSessionTxn) Apply(t *Tree) TxnResult {
-	removed := t.DeleteOwned(x.SessionID)
-	return TxnResult{RemovedPaths: removed}
-}
-
-// PayloadSize implements Txn.
-func (x CloseSessionTxn) PayloadSize() int { return len(x.SessionID) }
-
 // failsFast reports whether a failed prep-time validation should abort the
-// transaction without committing (ZooKeeper returns BadVersion/NoNode
+// transaction without committing (ZooKeeper returns NoNode/NodeExists
 // errors from the leader's prep processor without broadcasting).
 func failsFast(res TxnResult) bool {
 	return res.Err != nil && (errors.Is(res.Err, ErrNoNode) ||
-		errors.Is(res.Err, ErrBadVersion) ||
 		errors.Is(res.Err, ErrNodeExists) ||
 		errors.Is(res.Err, ErrNotEmpty))
 }
