@@ -2,40 +2,22 @@ package history
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
-// clientGroup is one client's keyed operations across every object, in
-// start order — the scope of the cross-object session checker.
-type clientGroup struct {
-	client string
-	ops    []Op
-}
-
 // clientGroups partitions keyed operations by client, each group sorted by
-// start time. Unkeyed operations are skipped (queue operations have their
-// own checkers).
-func clientGroups(ops []Op) []clientGroup {
-	idx := map[string]int{}
-	var groups []clientGroup
-	for _, op := range ops {
-		if op.Key == "" {
-			continue
-		}
-		i, ok := idx[op.Client]
-		if !ok {
-			i = len(groups)
-			idx[op.Client] = i
-			groups = append(groups, clientGroup{client: op.Client})
-		}
-		groups[i].ops = append(groups[i].ops, op)
+// start time and the groups by client. Unkeyed operations are skipped
+// (queue operations have their own checkers).
+func clientGroups(ops []Op) []opGroup {
+	keys, groups := groupOps(ops, func(op *Op) (string, bool) { return op.Client, op.Key != "" })
+	out := make([]opGroup, len(keys))
+	for i, c := range keys {
+		byStart(groups[i])
+		out[i] = opGroup{client: c, ops: groups[i]}
 	}
-	for i := range groups {
-		g := &groups[i]
-		sort.SliceStable(g.ops, func(a, b int) bool { return g.ops[a].Start < g.ops[b].Start })
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].client < groups[b].client })
-	return groups
+	slices.SortFunc(out, func(a, b opGroup) int { return strings.Compare(a.client, b.client) })
+	return out
 }
 
 // CheckCrossObjectWFR checks writes-follow-reads ACROSS objects, per
@@ -53,49 +35,35 @@ func clientGroups(ops []Op) []clientGroup {
 // really is an older state of the store. Do not run this checker against a
 // binding with per-key version spaces.
 //
-// As in floorScan, only operations that terminated before this op started
-// constrain it (overlapping ops constrain nothing), and each client yields
-// at most one (minimal) witness.
+// As in the per-key checkers (floorScanner.scan), only operations that
+// terminated before this op started constrain it (overlapping ops
+// constrain nothing), and each client yields at most one (minimal)
+// witness.
 func CheckCrossObjectWFR(ops []Op) []Violation {
+	groups := clientGroups(ops)
+	fs := newFloorScanner(groups)
 	var out []Violation
-	for _, g := range clientGroups(ops) {
-		events := make([]tokenEvent, 0, len(g.ops))
-		for _, op := range g.ops {
-			if !op.Done {
-				continue
-			}
-			if v, ok := maxViewVersion(op); ok {
-				events = append(events, tokenEvent{end: op.End, version: v, op: op})
-			}
-		}
-		sort.SliceStable(events, func(a, b int) bool { return events[a].end < events[b].end })
-		var floor uint64
-		var floorOp Op
-		next := 0
-		for _, op := range g.ops {
-			for next < len(events) && events[next].end <= op.Start {
-				if events[next].version > floor {
-					floor = events[next].version
-					floorOp = events[next].op
+	for _, g := range groups {
+		fs.scan(g.ops,
+			maxViewVersion,
+			func(op *Op, floor uint64, floorOp *Op) bool {
+				if !op.Mutating || !op.Completed() {
+					return false
 				}
-				next++
-			}
-			if !op.Mutating || !op.Completed() {
-				continue
-			}
-			fv, ok := op.FinalView()
-			if ok && fv.Version > 0 && fv.Version < floor {
-				out = append(out, Violation{
-					Guarantee: "cross-object-writes-follow-reads",
-					Client:    g.client,
-					Key:       op.Key,
-					Detail: fmt.Sprintf("write on %q committed at version %d although the client had already observed version %d on %q",
-						op.Key, fv.Version, floor, floorOp.Key),
-					Witness: []Op{floorOp, op},
-				})
-				break
-			}
-		}
+				fv, ok := op.FinalView()
+				if ok && fv.Version > 0 && fv.Version < floor {
+					out = append(out, Violation{
+						Guarantee: "cross-object-writes-follow-reads",
+						Client:    g.client,
+						Key:       op.Key,
+						Detail: fmt.Sprintf("write on %q committed at version %d although the client had already observed version %d on %q",
+							op.Key, fv.Version, floor, floorOp.Key),
+						Witness: []Op{*floorOp, *op},
+					})
+					return true
+				}
+				return false
+			})
 	}
 	return out
 }

@@ -12,11 +12,23 @@
 // witness subsequence the checkers report ("On the Limits of Causal
 // Observation": consistency checked purely from recorded client-side
 // observations, which a deterministic simulator captures completely).
+//
+// Cost model: a check never copies an Op. Each checker partitions the
+// snapshot once — by (client, key), by client or by key — into groups of
+// pointers carved from one slab, sorts each group, and folds over it, so
+// its allocations grow with the number of groups, not with the number of
+// ops. CheckSessionGuarantees shares one partition across its three
+// checkers. On top of that one pass, the linearizability checkers pay the
+// Wing & Gong search per key, which dominates any key with concurrent
+// operations and gives up above 512 ops. Serializing a history writes one
+// buffer sized up front.
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -101,27 +113,62 @@ func (o *Op) FinalView() (View, bool) {
 }
 
 // String renders the operation as one line of the serialized history.
-func (o *Op) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s#%d %s(%s) [%v,", o.Client, o.ID, o.Name, o.Key, o.Start)
+func (o *Op) String() string { return string(o.appendTo(make([]byte, 0, o.maxLineLen()))) }
+
+// appendTo appends the operation's serialized line, without the newline,
+// to b. The bytes are those of fmt with %v for durations and levels, %d
+// for the ID and versions and %q for the error; strconv and the String
+// methods build them without allocating (an unknown level's name aside).
+func (o *Op) appendTo(b []byte) []byte {
+	b = append(b, o.Client...)
+	b = append(b, '#')
+	b = strconv.AppendUint(b, o.ID, 10)
+	b = append(b, ' ')
+	b = append(b, o.Name...)
+	b = append(b, '(')
+	b = append(b, o.Key...)
+	b = append(b, ") ["...)
+	b = append(b, o.Start.String()...)
+	b = append(b, ',')
 	if o.Done {
-		fmt.Fprintf(&b, "%v]", o.End)
+		b = append(b, o.End.String()...)
+		b = append(b, ']')
 	} else {
-		b.WriteString("...]")
+		b = append(b, "...]"...)
 	}
-	for _, v := range o.Views {
-		fmt.Fprintf(&b, " %v:v%d@%v", v.Level, v.Version, v.At)
+	for i := range o.Views {
+		v := &o.Views[i]
+		b = append(b, ' ')
+		b = append(b, v.Level.String()...)
+		b = append(b, ":v"...)
+		b = strconv.AppendUint(b, v.Version, 10)
+		b = append(b, '@')
+		b = append(b, v.At.String()...)
 		if v.Note != "" {
-			fmt.Fprintf(&b, "=%s", v.Note)
+			b = append(b, '=')
+			b = append(b, v.Note...)
 		}
 		if v.Final {
-			b.WriteString("!")
+			b = append(b, '!')
 		}
 	}
 	if o.Err != "" {
-		fmt.Fprintf(&b, " err=%q", o.Err)
+		b = append(b, " err="...)
+		b = strconv.AppendQuote(b, o.Err)
 	}
-	return b.String()
+	return b
+}
+
+// maxLineLen bounds len(o.appendTo(nil)): a duration renders in at most 32
+// bytes, a uint64 in 20, a level in 27 ("level(-9223372036854775808)"),
+// and %q expands a byte to at most 4 ("\x00").
+func (o *Op) maxLineLen() int {
+	const dur, num, level = 32, 20, 27
+	n := len(o.Client) + len(o.Name) + len(o.Key) + num + 2*dur + 11
+	for i := range o.Views {
+		n += level + num + dur + len(o.Views[i].Note) + 6
+	}
+	return n + 4*len(o.Err) + 7
 }
 
 // opRef identifies an in-flight operation within the recorder.
@@ -220,23 +267,35 @@ func (r *Recorder) OpEnd(op binding.OpInfo, at time.Duration, err error) {
 // order: by start time, then client, then per-client sequence number.
 // (The raw append order is already deterministic under a VirtualClock;
 // the explicit sort makes the contract independent of recording order.)
+// Every op's views are copied into one shared slab.
 func (r *Recorder) Ops() []Op {
 	r.mu.Lock()
-	out := make([]Op, len(r.ops))
-	for i, op := range r.ops {
+	sorted := slices.Clone(r.ops)
+	views := 0
+	for _, op := range sorted {
+		views += len(op.Views)
+	}
+	out := make([]Op, len(sorted))
+	slab := make([]View, 0, views)
+	slices.SortStableFunc(sorted, func(a, b *Op) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.Client, b.Client); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	for i, op := range sorted {
 		out[i] = *op
-		out[i].Views = append([]View(nil), op.Views...)
+		out[i].Views = nil
+		if len(op.Views) > 0 {
+			start := len(slab)
+			slab = append(slab, op.Views...)
+			out[i].Views = slab[start:len(slab):len(slab)]
+		}
 	}
 	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		if out[i].Client != out[j].Client {
-			return out[i].Client < out[j].Client
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }
 
@@ -247,12 +306,18 @@ func (r *Recorder) Serialize() []byte {
 }
 
 // SerializeOps renders an already-snapshotted history (as returned by
-// Ops); callers holding a snapshot avoid a second copy-and-sort.
+// Ops); callers holding a snapshot avoid a second copy-and-sort. The text
+// is written into one buffer sized up front, so a call allocates a
+// constant number of times whatever the history's length.
 func SerializeOps(ops []Op) []byte {
-	var b strings.Builder
+	n := 0
 	for i := range ops {
-		b.WriteString(ops[i].String())
-		b.WriteByte('\n')
+		n += ops[i].maxLineLen() + 1
 	}
-	return []byte(b.String())
+	b := make([]byte, 0, n)
+	for i := range ops {
+		b = ops[i].appendTo(b)
+		b = append(b, '\n')
+	}
+	return b
 }

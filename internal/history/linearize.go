@@ -1,9 +1,11 @@
 package history
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,8 +30,9 @@ type LinOp struct {
 	// may or may not have taken effect): the search may apply it anywhere
 	// after Call or omit it entirely.
 	Optional bool
-	// Source is the recorded op behind this entry (witness rendering).
-	Source Op
+	// Source is the recorded op behind this entry (witness rendering; nil
+	// renders as the zero Op).
+	Source *Op
 }
 
 // forever is the Return of incomplete operations.
@@ -79,7 +82,7 @@ func CheckLinearizable(m Model, ops []LinOp, budget int) LinResult {
 		// instead of burning the budget.
 		return LinResult{Inconclusive: true}
 	}
-	sort.SliceStable(ops, func(a, b int) bool { return ops[a].Call < ops[b].Call })
+	slices.SortStableFunc(ops, func(a, b LinOp) int { return cmp.Compare(a.Call, b.Call) })
 
 	linearized := make([]bool, n)
 	words := (n + 63) / 64
@@ -89,18 +92,15 @@ func CheckLinearizable(m Model, ops []LinOp, budget int) LinResult {
 	best := -1
 	var bestFrontier []int
 
-	memoKey := func(state string) string {
-		var b strings.Builder
-		b.Grow(words*8 + len(state))
+	keyBuf := make([]byte, 0, words*8)
+	memoKey := func(state string) []byte {
+		b := keyBuf[:0]
 		for _, w := range bits {
-			var buf [8]byte
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(w >> (8 * i))
-			}
-			b.Write(buf[:])
+			b = binary.LittleEndian.AppendUint64(b, w)
 		}
-		b.WriteString(state)
-		return b.String()
+		b = append(b, state...)
+		keyBuf = b
+		return b
 	}
 
 	var search func(state string, done int) bool
@@ -112,10 +112,10 @@ func CheckLinearizable(m Model, ops []LinOp, budget int) LinResult {
 			return false
 		}
 		key := memoKey(state)
-		if memo[key] {
+		if memo[string(key)] {
 			return false
 		}
-		memo[key] = true
+		memo[string(key)] = true
 
 		// An op may be linearized next iff no other pending op returned
 		// before its call (Wing & Gong's minimality rule).
@@ -161,7 +161,11 @@ func CheckLinearizable(m Model, ops []LinOp, budget int) LinResult {
 	}
 	res := LinResult{}
 	for _, i := range bestFrontier {
-		res.Witness = append(res.Witness, ops[i].Source)
+		var op Op
+		if src := ops[i].Source; src != nil {
+			op = *src
+		}
+		res.Witness = append(res.Witness, op)
 	}
 	return res
 }
@@ -182,7 +186,8 @@ func (RegisterModel) Step(state string, op *LinOp) (string, bool) {
 	case "put":
 		return strconv.FormatUint(op.Version, 10), true
 	case "get":
-		return state, state == strconv.FormatUint(op.Version, 10)
+		var buf [20]byte
+		return state, state == string(strconv.AppendUint(buf[:0], op.Version, 10))
 	default:
 		return state, false
 	}
@@ -230,37 +235,12 @@ func (QueueModel) Step(state string, op *LinOp) (string, bool) {
 
 // --- History conversion ---------------------------------------------------
 
-// keyedOps selects a key's operations from a history.
-func keyedOps(ops []Op, key string) []Op {
-	var out []Op
-	for _, op := range ops {
-		if op.Key == key {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// Keys lists the distinct object keys in a history, sorted.
-func Keys(ops []Op) []string {
-	seen := map[string]bool{}
-	var keys []string
-	for _, op := range ops {
-		if op.Key != "" && !seen[op.Key] {
-			seen[op.Key] = true
-			keys = append(keys, op.Key)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // phantomViolation reports an output no recorded mutation could explain.
 func phantomViolation(key, detail string, witness ...Op) Violation {
 	return Violation{Guarantee: "linearizability", Key: key, Detail: detail, Witness: witness}
 }
 
-// RegisterHistory converts one key's recorded get/put operations into a
+// registerHistory converts one key's recorded get/put operations into a
 // register linearizability history over final (strong) views. Weaker views
 // are deliberately excluded: preliminary staleness is the paper's selling
 // point, not a linearizability bug. Reads returning versions no recorded
@@ -270,12 +250,12 @@ func phantomViolation(key, detail string, witness ...Op) Violation {
 // writes whose version nobody read are omitted: since no read depends on
 // them, excluding them can only under-approximate, never produce a false
 // violation.
-func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
-	var lin []LinOp
+func registerHistory(keyed []*Op, key string) ([]LinOp, []Violation) {
+	lin := make([]LinOp, 0, len(keyed))
 	var violations []Violation
 	known := map[uint64]bool{0: true}
-	var ambiguous []Op // incomplete puts, in start order
-	for _, op := range keyedOps(ops, key) {
+	var ambiguous []*Op // incomplete puts, in start order
+	for _, op := range keyed {
 		switch op.Name {
 		case "put":
 			if op.Completed() {
@@ -313,8 +293,8 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 			unknown = append(unknown, l.Version)
 		}
 	}
-	sort.Slice(unknown, func(a, b int) bool { return unknown[a] < unknown[b] })
-	sort.SliceStable(ambiguous, func(a, b int) bool { return ambiguous[a].Start < ambiguous[b].Start })
+	slices.Sort(unknown)
+	byStart(ambiguous)
 	for i, v := range unknown {
 		if i < len(ambiguous) {
 			// All phantoms use the earliest ambiguous start as their call
@@ -347,11 +327,16 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 // wildcard removals the search may apply anywhere after their call or omit
 // entirely.
 func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
-	var lin []LinOp
+	return queueHistory(keyedOps(ops, queue), queue)
+}
+
+// queueHistory is QueueHistory over one queue's ops.
+func queueHistory(keyed []*Op, queue string) ([]LinOp, []Violation) {
+	lin := make([]LinOp, 0, len(keyed))
 	var violations []Violation
 	known := map[string]bool{}
-	var ambiguous []Op
-	for _, op := range keyedOps(ops, queue) {
+	var ambiguous []*Op
+	for _, op := range keyed {
 		fv, hasFinal := op.FinalView()
 		switch op.Name {
 		case "enqueue":
@@ -389,12 +374,12 @@ func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 			unknown = append(unknown, l.Elem)
 		}
 	}
-	sort.Strings(unknown)
-	sort.SliceStable(ambiguous, func(a, b int) bool { return ambiguous[a].Start < ambiguous[b].Start })
+	slices.Sort(unknown)
+	byStart(ambiguous)
 	for i, elem := range unknown {
 		if i < len(ambiguous) {
 			// Earliest ambiguous start as the call point; see
-			// RegisterHistory for why this is the sound choice.
+			// registerHistory for why this is the sound choice.
 			lin = append(lin, LinOp{
 				Kind: "enqueue", Elem: elem,
 				Call: ambiguous[0].Start, Return: forever, Optional: true,
@@ -414,8 +399,9 @@ func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 func CheckRegisters(ops []Op, budget int) ([]Violation, []string) {
 	var out []Violation
 	var inconclusive []string
-	for _, key := range Keys(ops) {
-		lin, phantoms := RegisterHistory(ops, key)
+	for _, part := range partitionByKey(ops) {
+		key := part.key
+		lin, phantoms := registerHistory(part.ops, key)
 		out = append(out, phantoms...)
 		res := CheckLinearizable(RegisterModel{}, lin, budget)
 		if res.Inconclusive {
@@ -439,8 +425,9 @@ func CheckRegisters(ops []Op, budget int) ([]Violation, []string) {
 func CheckQueues(ops []Op, budget int) ([]Violation, []string) {
 	var out []Violation
 	var inconclusive []string
-	for _, queue := range Keys(ops) {
-		lin, phantoms := QueueHistory(ops, queue)
+	for _, part := range partitionByKey(ops) {
+		queue := part.key
+		lin, phantoms := queueHistory(part.ops, queue)
 		out = append(out, phantoms...)
 		res := CheckLinearizable(QueueModel{}, lin, budget)
 		if res.Inconclusive {

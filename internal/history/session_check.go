@@ -1,8 +1,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -42,42 +43,24 @@ func (v Violation) String() string {
 	return b.String()
 }
 
-// sessionGroup is one client's operations on one object, in start order.
-type sessionGroup struct {
-	client string
-	key    string
-	ops    []Op
-}
-
 // sessionGroups partitions keyed operations by (client, key), each group
 // sorted by start time. Unkeyed operations are skipped.
-func sessionGroups(ops []Op) []sessionGroup {
-	idx := map[[2]string]int{}
-	var groups []sessionGroup
-	for _, op := range ops {
-		if op.Key == "" {
-			continue
-		}
-		gk := [2]string{op.Client, op.Key}
-		i, ok := idx[gk]
-		if !ok {
-			i = len(groups)
-			idx[gk] = i
-			groups = append(groups, sessionGroup{client: op.Client, key: op.Key})
-		}
-		groups[i].ops = append(groups[i].ops, op)
-	}
-	for i := range groups {
-		g := &groups[i]
-		sort.SliceStable(g.ops, func(a, b int) bool { return g.ops[a].Start < g.ops[b].Start })
-	}
-	sort.Slice(groups, func(a, b int) bool {
-		if groups[a].client != groups[b].client {
-			return groups[a].client < groups[b].client
-		}
-		return groups[a].key < groups[b].key
+func sessionGroups(ops []Op) []opGroup {
+	keys, groups := groupOps(ops, func(op *Op) ([2]string, bool) {
+		return [2]string{op.Client, op.Key}, op.Key != ""
 	})
-	return groups
+	out := make([]opGroup, len(keys))
+	for i, k := range keys {
+		byStart(groups[i])
+		out[i] = opGroup{client: k[0], key: k[1], ops: groups[i]}
+	}
+	slices.SortFunc(out, func(a, b opGroup) int {
+		if c := strings.Compare(a.client, b.client); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	return out
 }
 
 // tokenEvent is a version token established by an op that terminated at
@@ -87,20 +70,27 @@ func sessionGroups(ops []Op) []sessionGroup {
 type tokenEvent struct {
 	end     time.Duration
 	version uint64
-	op      Op
+	op      *Op
 }
 
-// floorScan folds completed-before-start token events over a group's ops:
-// for each op (in start order) it calls check with the highest constraint
-// established by ops that terminated before this one started, then emit to
-// (possibly) contribute the op's own event. It stops after check reports a
-// violation, so each group yields at most one (minimal) witness.
-func floorScan(g sessionGroup,
-	emit func(op Op) (uint64, bool),
-	check func(op Op, floor uint64, floorOp Op) bool,
+// floorScanner folds completed-before-start token events over groups of
+// ops, reusing one event buffer across groups.
+type floorScanner struct {
+	events []tokenEvent
+}
+
+// scan folds the token events of ops (in start order): for each op it
+// calls check with the highest constraint established by ops that
+// terminated before this one started (floorOp is nil while floor is 0),
+// having collected every op's own event with emit beforehand. It stops
+// after check reports a violation, so each group yields at most one
+// (minimal) witness.
+func (s *floorScanner) scan(ops []*Op,
+	emit func(op *Op) (uint64, bool),
+	check func(op *Op, floor uint64, floorOp *Op) bool,
 ) {
-	events := make([]tokenEvent, 0, len(g.ops))
-	for _, op := range g.ops {
+	events := s.events[:0]
+	for _, op := range ops {
 		if !op.Done {
 			continue
 		}
@@ -108,11 +98,12 @@ func floorScan(g sessionGroup,
 			events = append(events, tokenEvent{end: op.End, version: v, op: op})
 		}
 	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].end < events[b].end })
+	s.events = events
+	slices.SortStableFunc(events, func(a, b tokenEvent) int { return cmp.Compare(a.end, b.end) })
 	var floor uint64
-	var floorOp Op
+	var floorOp *Op
 	next := 0
-	for _, op := range g.ops {
+	for _, op := range ops {
 		for next < len(events) && events[next].end <= op.Start {
 			if events[next].version > floor {
 				floor = events[next].version
@@ -126,22 +117,37 @@ func floorScan(g sessionGroup,
 	}
 }
 
+// newFloorScanner sizes a floorScanner's event buffer for the largest of
+// the groups it will scan.
+func newFloorScanner(groups []opGroup) *floorScanner {
+	n := 0
+	for _, g := range groups {
+		n = max(n, len(g.ops))
+	}
+	return &floorScanner{events: make([]tokenEvent, 0, n)}
+}
+
 // CheckRYW checks read-your-writes per (client, key): every view delivered
 // to an operation must carry a version at least as new as the newest write
 // this client completed on the key before the operation started. At most
 // one violation (the first) is reported per group.
 func CheckRYW(ops []Op) []Violation {
+	groups := sessionGroups(ops)
+	return checkRYW(groups, newFloorScanner(groups))
+}
+
+func checkRYW(groups []opGroup, fs *floorScanner) []Violation {
 	var out []Violation
-	for _, g := range sessionGroups(ops) {
-		floorScan(g,
-			func(op Op) (uint64, bool) {
+	for _, g := range groups {
+		fs.scan(g.ops,
+			func(op *Op) (uint64, bool) {
 				if !op.Mutating || !op.Completed() {
 					return 0, false
 				}
 				fv, ok := op.FinalView()
 				return fv.Version, ok
 			},
-			func(op Op, floor uint64, floorOp Op) bool {
+			func(op *Op, floor uint64, floorOp *Op) bool {
 				for _, v := range op.Views {
 					if v.Version < floor {
 						out = append(out, Violation{
@@ -150,7 +156,7 @@ func CheckRYW(ops []Op) []Violation {
 							Key:       g.key,
 							Detail: fmt.Sprintf("%s view at version %d, but this client's write at version %d completed before the op started",
 								v.Level, v.Version, floor),
-							Witness: []Op{floorOp, op},
+							Witness: []Op{*floorOp, *op},
 						})
 						return true
 					}
@@ -164,7 +170,7 @@ func CheckRYW(ops []Op) []Violation {
 // maxViewVersion is the shared "what did this op observe" emit rule of the
 // monotonic-reads and writes-follow-reads checkers: the newest version
 // among the op's delivered views.
-func maxViewVersion(op Op) (uint64, bool) {
+func maxViewVersion(op *Op) (uint64, bool) {
 	var top uint64
 	for _, v := range op.Views {
 		if v.Version > top {
@@ -179,11 +185,16 @@ func maxViewVersion(op Op) (uint64, bool) {
 // before this op started) operation of the same client delivered for the
 // key.
 func CheckMonotonicReads(ops []Op) []Violation {
+	groups := sessionGroups(ops)
+	return checkMonotonicReads(groups, newFloorScanner(groups))
+}
+
+func checkMonotonicReads(groups []opGroup, fs *floorScanner) []Violation {
 	var out []Violation
-	for _, g := range sessionGroups(ops) {
-		floorScan(g,
+	for _, g := range groups {
+		fs.scan(g.ops,
 			maxViewVersion,
-			func(op Op, floor uint64, floorOp Op) bool {
+			func(op *Op, floor uint64, floorOp *Op) bool {
 				for _, v := range op.Views {
 					if v.Version < floor {
 						out = append(out, Violation{
@@ -192,7 +203,7 @@ func CheckMonotonicReads(ops []Op) []Violation {
 							Key:       g.key,
 							Detail: fmt.Sprintf("%s view regressed to version %d after an earlier op observed version %d",
 								v.Level, v.Version, floor),
-							Witness: []Op{floorOp, op},
+							Witness: []Op{*floorOp, *op},
 						})
 						return true
 					}
@@ -207,11 +218,16 @@ func CheckMonotonicReads(ops []Op) []Violation {
 // completed write must be ordered (by version token) after every state the
 // client had observed for the key before issuing it.
 func CheckWritesFollowReads(ops []Op) []Violation {
+	groups := sessionGroups(ops)
+	return checkWritesFollowReads(groups, newFloorScanner(groups))
+}
+
+func checkWritesFollowReads(groups []opGroup, fs *floorScanner) []Violation {
 	var out []Violation
-	for _, g := range sessionGroups(ops) {
-		floorScan(g,
+	for _, g := range groups {
+		fs.scan(g.ops,
 			maxViewVersion,
-			func(op Op, floor uint64, floorOp Op) bool {
+			func(op *Op, floor uint64, floorOp *Op) bool {
 				if !op.Mutating || !op.Completed() {
 					return false
 				}
@@ -223,7 +239,7 @@ func CheckWritesFollowReads(ops []Op) []Violation {
 						Key:       g.key,
 						Detail: fmt.Sprintf("write committed at version %d although the client had already observed version %d",
 							fv.Version, floor),
-						Witness: []Op{floorOp, op},
+						Witness: []Op{*floorOp, *op},
 					})
 					return true
 				}
@@ -233,11 +249,14 @@ func CheckWritesFollowReads(ops []Op) []Violation {
 	return out
 }
 
-// CheckSessionGuarantees runs all three session checkers.
+// CheckSessionGuarantees runs all three session checkers over one shared
+// (client, key) partition.
 func CheckSessionGuarantees(ops []Op) []Violation {
+	groups := sessionGroups(ops)
+	fs := newFloorScanner(groups)
 	var out []Violation
-	out = append(out, CheckRYW(ops)...)
-	out = append(out, CheckMonotonicReads(ops)...)
-	out = append(out, CheckWritesFollowReads(ops)...)
+	out = append(out, checkRYW(groups, fs)...)
+	out = append(out, checkMonotonicReads(groups, fs)...)
+	out = append(out, checkWritesFollowReads(groups, fs)...)
 	return out
 }

@@ -225,14 +225,12 @@ func (c *Controller) Admit(client string, op binding.Operation) (binding.Admissi
 		}
 		if !tb.Take(now) {
 			c.cfg.Meter.AccountRejected(netsim.LinkClient)
-			return binding.AdmissionReject,
-				fmt.Errorf("%w: client %q over its rate limit (%.0f ops/s)", ErrRejected, client, c.cfg.PerClientRate)
+			return binding.AdmissionReject, &rejection{client: client, rate: c.cfg.PerClientRate, perClient: true}
 		}
 	}
 	if c.global != nil && !c.global.Take(now) {
 		c.cfg.Meter.AccountRejected(netsim.LinkClient)
-		return binding.AdmissionReject,
-			fmt.Errorf("%w: coordinator backpressure (admit rate %.0f ops/s)", ErrRejected, c.global.Rate())
+		return binding.AdmissionReject, &rejection{rate: c.global.Rate()}
 	}
 	if c.degraded && !mutates(op) {
 		c.cfg.Meter.AccountShed(netsim.LinkClient)
@@ -240,6 +238,24 @@ func (c *Controller) Admit(client string, op binding.Operation) (binding.Admissi
 	}
 	return binding.AdmissionAdmit, nil
 }
+
+// rejection is an Admit refusal wrapping ErrRejected: a client over its
+// own rate limit (perClient) or coordinator backpressure, with the rate it
+// was judged against. The text is built only when someone reads it.
+type rejection struct {
+	client    string
+	rate      float64
+	perClient bool
+}
+
+func (r *rejection) Error() string {
+	if r.perClient {
+		return fmt.Sprintf("%v: client %q over its rate limit (%.0f ops/s)", ErrRejected, r.client, r.rate)
+	}
+	return fmt.Sprintf("%v: coordinator backpressure (admit rate %.0f ops/s)", ErrRejected, r.rate)
+}
+
+func (r *rejection) Unwrap() error { return ErrRejected }
 
 // mutates mirrors the client library's read-only classification.
 func mutates(op binding.Operation) bool {

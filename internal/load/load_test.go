@@ -1,6 +1,7 @@
 package load
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -247,5 +248,46 @@ func TestControllerPerClientBucketAndMeter(t *testing.T) {
 	meter.Reset()
 	if got := meter.Load(netsim.LinkClient); got != (netsim.LoadStats{}) {
 		t.Errorf("reset left load stats %+v", got)
+	}
+}
+
+// TestRejectionText pins the text of both admission rejections and checks
+// that both match ErrRejected and stay retryable.
+func TestRejectionText(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	reject := func(c *Controller, client string) error {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if dec, err := c.Admit(client, binding.Get{Key: "k"}); dec == binding.AdmissionReject {
+				return err
+			}
+		}
+		t.Fatalf("client %q never rejected", client)
+		return nil
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{
+			reject(NewController(Config{Clock: clock, PerClientRate: 100, PerClientBurst: 1}), `hog "1"`),
+			`load: rejected by admission control: client "hog \"1\"" over its rate limit (100 ops/s)`,
+		},
+		{
+			reject(NewController(Config{
+				Clock:   clock,
+				Sample:  func() time.Duration { return 0 },
+				MaxRate: 10, // a 2-token burst at the default 50ms sampling
+			}), "quiet"),
+			"load: rejected by admission control: coordinator backpressure (admit rate 10 ops/s)",
+		},
+	} {
+		if tc.err.Error() != tc.want {
+			t.Errorf("rejection text %q, want %q", tc.err, tc.want)
+		}
+		if !errors.Is(tc.err, ErrRejected) || !binding.IsRetryable(tc.err) {
+			t.Errorf("rejection %q: errors.Is(ErrRejected)=%v IsRetryable=%v, want both", tc.err,
+				errors.Is(tc.err, ErrRejected), binding.IsRetryable(tc.err))
+		}
 	}
 }

@@ -73,12 +73,12 @@ func wideRun(threads int, seed int64) string {
 }
 
 // TestYCSBWideClientsDeterministic scales the closed-loop runner to 10^5
-// threads — the ROADMAP's million-client rung, sized to stay race-detector
-// friendly — and requires byte-identical same-seed results. The sharded
-// per-thread stats make the run contention-free; the deterministic merge
-// makes the fingerprint a pure function of the seed.
+// threads (wideThreads; fewer under the race detector) and requires
+// byte-identical same-seed results. The sharded per-thread stats make the
+// run contention-free; the deterministic merge makes the fingerprint a
+// pure function of the seed.
 func TestYCSBWideClientsDeterministic(t *testing.T) {
-	threads := 100_000
+	threads := wideThreads
 	if testing.Short() {
 		threads = 10_000
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -95,6 +96,21 @@ func (t *Tree) ensureLocked(path string) error {
 	return nil
 }
 
+// sequentialName is path plus seq zero-padded to 10 digits, the bytes of
+// fmt's "%s%010d".
+func sequentialName(path string, seq uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	var b strings.Builder
+	b.Grow(len(path) + max(len(d), 10))
+	b.WriteString(path)
+	for i := len(d); i < 10; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
+}
+
 // Create adds a znode. If sequential, the final name is path plus a
 // zero-padded 10-digit monotonically increasing counter scoped to the
 // parent, and the created path is returned.
@@ -110,7 +126,7 @@ func (t *Tree) Create(path string, data []byte, sequential bool) (string, error)
 	}
 	actual := path
 	if sequential {
-		actual = fmt.Sprintf("%s%010d", path, parent.nextSeq)
+		actual = sequentialName(path, parent.nextSeq)
 		parent.nextSeq++
 	}
 	if _, exists := t.nodes[actual]; exists {
@@ -210,19 +226,27 @@ func (t *Tree) FirstChild(path string) (name string, data []byte, count int, err
 }
 
 // Snapshot returns a deep copy of the tree's node state plus its
-// approximate encoded size in bytes, for state-transfer accounting. Each
-// recipient needs its own snapshot: Restore installs the map without
-// copying.
+// approximate encoded size in bytes, for state-transfer accounting. The
+// copied nodes and their data share one slab each. Each recipient needs
+// its own snapshot: Restore installs the map without copying.
 func (t *Tree) Snapshot() (map[string]*node, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	nodes := make(map[string]*node, len(t.nodes))
+	slab := make([]node, 0, len(t.nodes))
+	dataLen := 0
+	for _, n := range t.nodes {
+		dataLen += len(n.data)
+	}
+	data := make([]byte, 0, dataLen)
 	size := 0
 	for path, n := range t.nodes {
-		cp := &node{
-			data:     append([]byte(nil), n.data...),
-			children: make(map[string]bool, len(n.children)),
-			nextSeq:  n.nextSeq,
+		slab = append(slab, node{children: make(map[string]bool, len(n.children)), nextSeq: n.nextSeq})
+		cp := &slab[len(slab)-1]
+		if len(n.data) > 0 {
+			start := len(data)
+			data = append(data, n.data...)
+			cp.data = data[start:len(data):len(data)]
 		}
 		for c := range n.children {
 			cp.children[c] = true

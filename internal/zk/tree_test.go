@@ -86,6 +86,54 @@ func TestTreeSequentialNames(t *testing.T) {
 	}
 }
 
+func TestSequentialNameMatchesFmt(t *testing.T) {
+	for _, seq := range []uint64{0, 7, 42, 9_999_999_999, 10_000_000_000, 1<<64 - 1} {
+		for _, path := range []string{"", "/q/item-", "/q/é-"} {
+			if got, want := sequentialName(path, seq), fmt.Sprintf("%s%010d", path, seq); got != want {
+				t.Errorf("sequentialName(%q, %d) = %q, want %q", path, seq, got, want)
+			}
+		}
+	}
+}
+
+// TestTreeSnapshotIsDeepCopy: a restored snapshot has the source's nodes,
+// data and counters, and neither tree sees the other's later writes.
+func TestTreeSnapshotIsDeepCopy(t *testing.T) {
+	src := NewTree()
+	if err := src.EnsurePath("/q"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"a", "", "ccc"} {
+		if _, err := src.Create("/q/item-", []byte(d), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, _ := src.Snapshot()
+	dst := NewTree()
+	dst.Restore(snap)
+	if dst.NodeCount() != src.NodeCount() {
+		t.Fatalf("restored %d nodes, want %d", dst.NodeCount(), src.NodeCount())
+	}
+	for i, want := range []string{"a", "", "ccc"} {
+		path := fmt.Sprintf("/q/item-%010d", i)
+		if got, err := dst.Get(path); err != nil || string(got) != want {
+			t.Errorf("Get(%s) = %q, %v; want %q", path, got, err, want)
+		}
+	}
+	if _, err := dst.Create("/q/item-", []byte("d"), true); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := src.NextSeq("/q"); got != 3 {
+		t.Errorf("source NextSeq = %d after a write to the copy, want 3", got)
+	}
+	if got, _ := dst.NextSeq("/q"); got != 4 {
+		t.Errorf("copy NextSeq = %d, want 4", got)
+	}
+	if src.NodeCount() != 5 || dst.NodeCount() != 6 {
+		t.Errorf("node counts src=%d dst=%d, want 5 and 6", src.NodeCount(), dst.NodeCount())
+	}
+}
+
 func TestTreeDeleteNonEmpty(t *testing.T) {
 	tr := NewTree()
 	_ = tr.EnsurePath("/a/b")
